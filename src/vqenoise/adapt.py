@@ -28,7 +28,7 @@ from .exceptions import (
     StalledError,
     VqeNoiseError,
 )
-from .operators import QubitOperator, expectation, pauli_action
+from .operators import QubitOperator, apply_operator, expectation, pauli_action
 from .simulator import (
     DENSITY_LIMIT_DEFAULT,
     NOISELESS,
@@ -95,13 +95,16 @@ class AdaptConfig:
 @dataclass(frozen=True, eq=False)
 class AdaptIteration:
     """One accepted growth step: chosen element, re-optimized parameters,
-    energy, the full pool-gradient vector, and the running CNOT count."""
+    energy, the full pool-gradient vector, the running CNOT count, and the
+    re-optimization's convergence flag and energy-evaluation count."""
 
     label: str
     params: tuple[float, ...]
     energy: float
     gradients: tuple[float, ...] = field(repr=False)
     cumulative_cnots: int
+    converged: bool
+    n_evaluations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,17 +370,6 @@ def optimize_parameters(
     return _OPTIMIZER_FUNCTIONS[optimizer](fun, params0, grad_tol=eps_opt)
 
 
-def _apply_operator(h: QubitOperator, vec: np.ndarray) -> np.ndarray:
-    """H |psi> term by term (dense matrix path when cached)."""
-    if h.n_qubits <= 10:
-        return h.matrix() @ vec
-    out = np.zeros_like(vec)
-    for ps, coeff in h.terms.items():
-        targets, phases = pauli_action(ps)
-        out += coeff * (phases[targets] * vec[targets])
-    return out
-
-
 def pool_gradients(
     state: QuantumState, h: QubitOperator, pool: Pool
 ) -> np.ndarray:
@@ -395,7 +387,7 @@ def pool_gradients(
     grads = np.zeros(len(pool))
     if not state.is_density:
         psi = state.data
-        h_psi = _apply_operator(h, psi)
+        h_psi = apply_operator(h, psi)
         for alpha, element in enumerate(pool.elements):
             t_psi = np.zeros_like(psi)
             for ps, b in element.terms:
@@ -591,6 +583,8 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
             energy=float(energy),
             gradients=tuple(float(g) for g in gradients),
             cumulative_cnots=sum(e.cnot_count for e in ansatz.elements),
+            converged=bool(result.converged),
+            n_evaluations=int(result.n_evaluations),
         ))
         if not config.noise.is_noisy and \
                 energy - problem.fci_energy < config.eps_truncation:

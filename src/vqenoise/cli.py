@@ -351,6 +351,8 @@ def cmd_adapt(config, out):
                 "params": list(it.params),
                 "pool_gradients": list(it.gradients),
                 "cumulative_cnots": it.cumulative_cnots,
+                "converged": it.converged,
+                "n_evaluations": it.n_evaluations,
             }
             for it in record.iterations
         ],

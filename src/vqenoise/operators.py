@@ -581,6 +581,19 @@ def _state_array(state) -> np.ndarray:
     return arr
 
 
+def apply_operator(h: QubitOperator, vec: np.ndarray) -> np.ndarray:
+    """H |psi> for a vector or each column of a (2^n, k) array: one dense
+    product when the matrix is cached, else term by term."""
+    if h.n_qubits <= _MATRIX_CACHE_QUBITS:
+        return h.matrix() @ vec
+    out = np.zeros(vec.shape, dtype=complex)
+    column = (-1,) + (1,) * (vec.ndim - 1)
+    for ps, coeff in h.terms.items():
+        targets, phases = pauli_action(ps)
+        out += coeff * (phases[targets].reshape(column) * vec[targets])
+    return out
+
+
 def expectation(h: QubitOperator, state) -> float:
     """<psi|H|psi> for a state vector, Tr[H rho] for a density matrix.
 
@@ -593,21 +606,16 @@ def expectation(h: QubitOperator, state) -> float:
         raise DimensionError(
             f"state dimension {arr.shape[0]} does not match {h.n_qubits} qubits"
         )
-    if h.n_qubits <= _MATRIX_CACHE_QUBITS:
-        m = h.matrix()
-        if arr.ndim == 1:
-            value = complex(np.vdot(arr, m @ arr))
-        else:
-            value = complex(np.einsum("jk,kj->", m, arr))
+    if arr.ndim == 1:
+        value = complex(np.vdot(arr, apply_operator(h, arr)))
+    elif h.n_qubits <= _MATRIX_CACHE_QUBITS:
+        value = complex(np.einsum("jk,kj->", h.matrix(), arr))
     else:
         value = 0.0 + 0.0j
         cols = np.arange(dim)
         for ps, coeff in h.terms.items():
             targets, phases = pauli_action(ps)
-            if arr.ndim == 1:
-                value += coeff * complex(np.vdot(arr, (phases * arr)[targets]))
-            else:
-                value += coeff * complex(np.sum(phases * arr[cols, targets]))
+            value += coeff * complex(np.sum(phases * arr[cols, targets]))
     if abs(value.imag) > IMAG_TOL:
         raise NumericIntegrityError(
             f"expectation has imaginary residue {value.imag:.3e}"

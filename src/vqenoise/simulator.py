@@ -27,7 +27,7 @@ from .exceptions import (
     NumericIntegrityError,
     ResourceLimitError,
 )
-from .operators import pauli_action
+from .operators import PauliString, pauli_action
 
 # Density-matrix register ceiling: default and the absolute cap.
 DENSITY_LIMIT_DEFAULT = 12
@@ -271,6 +271,16 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
     return state
 
 
+def apply_gate_to_rows(rows: np.ndarray, gate: GateOp):
+    """Apply one gate in place to each row of a C-contiguous (k, 2^n) block
+    of state vectors."""
+    if gate.is_cnot:
+        n = rows.shape[1].bit_length() - 1
+        rows[...] = rows[:, _cnot_permutation(n, *gate.qubits)]
+    else:  # a row's qubit bits are the low bits of its flat indices
+        _apply_1q_left(rows.reshape(-1), gate.matrix_1q(), gate.qubits[0])
+
+
 def _depolarize_core(data: np.ndarray, n_qubits: int, qubit: int, p: float):
     """Twirl-identity channel update without validation.
 
@@ -343,36 +353,35 @@ def apply_element(
     return state
 
 
-def compile_element(element: AnsatzElement, theta: float) -> list[GateOp]:
-    """Staircase decomposition of exp(theta T) into gates.
+def compile_term(ps: PauliString, b: float, theta: float) -> list[GateOp]:
+    """Staircase decomposition of one term exp(i b theta P) into gates.
 
-    Per Pauli term: basis changes (H for X, v for Y), a CNOT ladder onto
-    the highest-index support qubit, Rz(-2 b theta) there, and the
-    inverses. A weight-w term costs 2(w-1) CNOTs.
+    Basis changes (H for X, v for Y), a CNOT ladder onto the highest-index
+    support qubit, Rz(-2 b theta) there, and the inverses. A weight-w term
+    costs 2(w-1) CNOTs.
     """
-    gates: list[GateOp] = []
-    for ps, b in element.terms:
-        support = sorted(ps.paulis)
-        axes = ps.paulis
-        pre: list[GateOp] = []
-        post: list[GateOp] = []
-        for q in support:
-            if axes[q] == "X":
-                pre.append(GateOp.hadamard(q))
-                post.append(GateOp.hadamard(q))
-            elif axes[q] == "Y":
-                pre.append(GateOp.v(q))
-                post.append(GateOp.vdg(q))
-        ladder = [
-            GateOp.cnot(support[i], support[i + 1])
-            for i in range(len(support) - 1)
-        ]
-        gates.extend(pre)
-        gates.extend(ladder)
-        gates.append(GateOp.rotation("Z", -2.0 * b * theta, support[-1]))
-        gates.extend(reversed(ladder))
-        gates.extend(reversed(post))
-    return gates
+    support = sorted(ps.paulis)
+    axes = ps.paulis
+    pre: list[GateOp] = []
+    post: list[GateOp] = []
+    for q in support:
+        if axes[q] == "X":
+            pre.append(GateOp.hadamard(q))
+            post.append(GateOp.hadamard(q))
+        elif axes[q] == "Y":
+            pre.append(GateOp.v(q))
+            post.append(GateOp.vdg(q))
+    ladder = [
+        GateOp.cnot(support[i], support[i + 1])
+        for i in range(len(support) - 1)
+    ]
+    rotation = GateOp.rotation("Z", -2.0 * b * theta, support[-1])
+    return pre + ladder + [rotation] + ladder[::-1] + post[::-1]
+
+
+def compile_element(element: AnsatzElement, theta: float) -> list[GateOp]:
+    """Staircase decomposition of exp(theta T): its terms in stored order."""
+    return [g for ps, b in element.terms for g in compile_term(ps, b, theta)]
 
 
 def _element_with_raw_probability(

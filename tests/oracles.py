@@ -212,3 +212,41 @@ def occupation_basis_extremes(ints) -> tuple[float, float]:
     h = molecular_hamiltonian_matrix(ints)
     evals = scipy.linalg.eigh(h, eigvals_only=True)
     return float(evals[0]) + ints.core_energy, float(evals[-1]) + ints.core_energy
+
+
+def susceptibility_oracle(gates, slots, n_qubits, h_matrix, reference):
+    """Single-Pauli energy shifts replayed with dense matrices.
+
+    ``slots`` lists (gate index, qubit, count): sigma acts on ``qubit``
+    right after ``gates[index]`` and the rest of the circuit follows; the
+    three shifts of a slot repeat for ``count`` positions. Returns
+    (position, qubit, sigma, shift) tuples in slot order.
+    """
+    units = [circuit_unitary([gate], n_qubits) for gate in gates]
+    # heads[i]: the state right after gates[i]; tails[i]: every later gate
+    heads, tails = [], [None] * len(gates)
+    psi = np.zeros(1 << n_qubits, dtype=complex)
+    psi[reference] = 1.0
+    for u in units:
+        psi = u @ psi
+        heads.append(psi)
+    tail = np.eye(1 << n_qubits, dtype=complex)
+    for i in reversed(range(len(gates))):
+        tails[i] = tail
+        tail = tail @ units[i]
+    e_clean = np.vdot(psi, h_matrix @ psi).real
+    out = []
+    for index, qubit, count in slots:
+        shifts = []
+        for sigma in "XYZ":
+            phi = tails[index] @ (
+                kron_pauli({qubit: sigma}, n_qubits) @ heads[index]
+            )
+            shifts.append(np.vdot(phi, h_matrix @ phi).real - e_clean)
+        for _ in range(count):
+            position = len(out) // 3
+            out.extend(
+                (position, qubit, sigma, shift)
+                for sigma, shift in zip("XYZ", shifts)
+            )
+    return out

@@ -465,6 +465,7 @@ class TestTruncationPrefixes:
                     label=it.label, params=it.params[:-1] or (0.0, 0.0),
                     energy=it.energy, gradients=it.gradients,
                     cumulative_cnots=it.cumulative_cnots,
+                    converged=it.converged, n_evaluations=it.n_evaluations,
                 )
                 for it in h2_record.iterations
             ),

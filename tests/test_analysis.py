@@ -35,8 +35,11 @@ from vqenoise.simulator import (
     apply_depolarizing,
     apply_gate,
     cnot_count,
+    compile_element,
     run_circuit,
 )
+
+from oracles import qubit_operator_matrix, susceptibility_oracle
 
 
 def make_report(n_ii, delta_e, e_unperturbed=0.0):
@@ -136,6 +139,88 @@ class TestGateSusceptibility:
         z1 = QubitOperator.from_term(PauliString({1: "Z"}, 2), 1.0)
         with pytest.raises(DimensionError):
             gate_susceptibility([GateOp.cnot(0, 1)], 3, z1, 0)
+
+
+def assert_matches_oracle(report, expected):
+    assert [f[:3] for f in report.fluctuations] == [f[:3] for f in expected]
+    for (*_, got), (*_, want) in zip(report.fluctuations, expected):
+        assert abs(got - want) <= 1e-12
+
+
+class TestEngineOracle:
+    """The batched engine against dense-matrix replays of every slot."""
+
+    @pytest.mark.parametrize("scheme", ["gate_by_gate", "element_by_element"])
+    def test_h2_qeb_matches_dense_oracle(self, h2, qeb_h2, scheme):
+        ansatz, params, hf, _ = qeb_h2
+        # the circuit twice over, so that both schemes fill several blocks
+        doubled = Ansatz.from_elements(ansatz.elements * 2)
+        thetas = np.concatenate([params, 0.5 - params])
+        # rows per engine step: a Pauli term (gate_by_gate) or an element
+        if scheme == "gate_by_gate":
+            per_step = [6 * (ps.weight - 1)
+                        for e in doubled.elements for ps, _ in e.terms]
+        else:
+            per_step = [3 * len(e.cnot_schedule) for e in doubled.elements]
+        # more rows than one block holds; in gate_by_gate a single step
+        # also outgrows 2^n
+        assert sum(per_step) > max([2 ** h2.n_qubits] + per_step)
+        if scheme == "gate_by_gate":
+            assert max(per_step) > 2 ** h2.n_qubits
+
+        gates, slots = [], []
+        for element, theta in zip(doubled.elements, thetas):
+            element_gates = compile_element(element, float(theta))
+            if scheme == "gate_by_gate":
+                slots += [
+                    (len(gates) + i, gate.qubits[1], 1)
+                    for i, gate in enumerate(element_gates) if gate.is_cnot
+                ]
+            else:
+                end = len(gates) + len(element_gates) - 1
+                slots += [(end, q, c) for q, c in element.cnot_schedule]
+            gates += element_gates
+
+        report = noise_susceptibility(
+            doubled, thetas, h2.hamiltonian, hf, scheme=scheme
+        )
+        expected = susceptibility_oracle(
+            gates, slots, h2.n_qubits,
+            qubit_operator_matrix(h2.hamiltonian), hf,
+        )
+        assert_matches_oracle(report, expected)
+        assert report.n_ii == cnot_count(doubled)
+
+    def test_gate_list_matches_dense_oracle(self):
+        rng = np.random.default_rng(11)
+        n = 3
+        gates = []
+        for _ in range(40):
+            kind = rng.integers(5)
+            q = [int(v) for v in rng.permutation(n)[:2]]
+            if kind == 0:
+                gates.append(GateOp.cnot(*q))
+            elif kind == 1:
+                axis = "XYZ"[rng.integers(3)]
+                gates.append(GateOp.rotation(axis, rng.normal(), q[0]))
+            else:
+                name = ("hadamard", "v", "vdg")[kind - 2]
+                gates.append(getattr(GateOp, name)(q[0]))
+        h = QubitOperator(n, {
+            PauliString({0: "Z", 1: "X"}, n): 0.7,
+            PauliString({2: "Y"}, n): -0.3,
+            PauliString({1: "Z", 2: "Z"}, n): 0.2,
+        })
+        slots = [
+            (i, gate.qubits[1], 1)
+            for i, gate in enumerate(gates) if gate.is_cnot
+        ]
+        assert 3 * len(slots) > 2 ** n
+        report = gate_susceptibility(gates, n, h, 5)
+        expected = susceptibility_oracle(
+            gates, slots, n, qubit_operator_matrix(h), 5
+        )
+        assert_matches_oracle(report, expected)
 
 
 class TestNoiseSusceptibility:

@@ -1,6 +1,7 @@
 """Tests for the config-driven command line front end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +200,30 @@ class TestAdaptCommand:
         it = payload["iterations"][0]
         assert it["cumulative_cnots"] > 0
         assert len(it["params"]) == 1
+
+    def test_non_converged_optimization_is_recorded(
+        self, tmp_path, capsys, h2, monkeypatch
+    ):
+        import vqenoise.adapt as adapt_module
+
+        real = adapt_module.optimize_parameters
+
+        def unconverged(*args, **kwargs):
+            return replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(adapt_module, "optimize_parameters", unconverged)
+        record = adapt_module.adapt_run(h2, adapt_module.AdaptConfig())
+        assert record.iterations
+        assert not any(it.converged for it in record.iterations)
+        assert all(it.n_evaluations > 0 for it in record.iterations)
+
+        code = run_cli("adapt", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        payload = json.loads((tmp_path / "adapt_record.json").read_text())
+        assert [it["converged"] for it in payload["iterations"]] \
+            == [False] * record.n_iterations
+        assert [it["n_evaluations"] for it in payload["iterations"]] \
+            == [it.n_evaluations for it in record.iterations]
 
     def test_zero_iterations_reports_reference(self, tmp_path, capsys, h2):
         code = run_cli(

@@ -166,6 +166,20 @@ def central_gradient(fun, x, step: float = FD_STEP) -> np.ndarray:
     return grad
 
 
+def _counted(fun):
+    """``fun`` rejecting non-finite values; ``.evaluations`` counts calls."""
+    def f(point):
+        f.evaluations += 1
+        value = fun(point)
+        if not np.isfinite(value):
+            raise NumericIntegrityError(
+                f"objective returned non-finite value {value}"
+            )
+        return value
+    f.evaluations = 0
+    return f
+
+
 def _nelder_mead_core(f, x0, offset, ftol=1e-13, xtol=1e-11, max_iter=None):
     """One simplex descent; returns (best point, best value)."""
     n = x0.size
@@ -227,20 +241,9 @@ def nelder_mead(
     """Derivative-free descent, restarted with a shrunk simplex until the
     finite-difference gradient norm reaches ``grad_tol``."""
     x = np.asarray(x0, dtype=float).copy()
-    evaluations = 0
-
-    def f(point):
-        nonlocal evaluations
-        evaluations += 1
-        value = fun(point)
-        if not np.isfinite(value):
-            raise NumericIntegrityError(
-                f"objective returned non-finite value {value}"
-            )
-        return value
-
+    f = _counted(fun)
     if x.size == 0:
-        return OptimizeResult(x, f(x), True, evaluations)
+        return OptimizeResult(x, f(x), True, f.evaluations)
 
     offset = simplex_offset
     best_value = f(x)
@@ -252,7 +255,7 @@ def nelder_mead(
             converged = True
             break
         offset *= 0.25
-    return OptimizeResult(x, best_value, converged, evaluations)
+    return OptimizeResult(x, best_value, converged, f.evaluations)
 
 
 def bfgs_minimize(
@@ -270,21 +273,10 @@ def bfgs_minimize(
     curvature pair, and skips updates whenever y.s <= ``curvature_tol``.
     """
     x = np.asarray(x0, dtype=float).copy()
-    evaluations = 0
-
-    def f(point):
-        nonlocal evaluations
-        evaluations += 1
-        value = fun(point)
-        if not np.isfinite(value):
-            raise NumericIntegrityError(
-                f"objective returned non-finite value {value}"
-            )
-        return value
-
+    f = _counted(fun)
     n = x.size
     if n == 0:
-        return OptimizeResult(x, f(x), True, evaluations)
+        return OptimizeResult(x, f(x), True, f.evaluations)
 
     fx = f(x)
     grad = central_gradient(f, x, fd_step)
@@ -329,20 +321,10 @@ def bfgs_minimize(
             left = identity - rho * np.outer(s, y)
             h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
         x, fx, grad = x_new, f_new, grad_new
-    return OptimizeResult(x, fx, converged, evaluations)
+    return OptimizeResult(x, fx, converged, f.evaluations)
 
 
 _OPTIMIZER_FUNCTIONS = {"nelder_mead": nelder_mead, "bfgs": bfgs_minimize}
-
-
-def _energy_objective(ansatz, h, reference, noise, dense_limit, n_qubits):
-    def fun(params):
-        state = run_circuit(
-            reference, ansatz, params, noise=noise,
-            n_qubits=n_qubits, dense_limit=dense_limit,
-        )
-        return expectation(h, state)
-    return fun
 
 
 def optimize_parameters(
@@ -366,8 +348,23 @@ def optimize_parameters(
         raise ConfigError("initial parameters must be finite")
     if optimizer not in _OPTIMIZER_FUNCTIONS:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
-    fun = _energy_objective(ansatz, h, reference, noise, dense_limit, n_qubits)
+
+    def fun(params):
+        state = run_circuit(
+            reference, ansatz, params, noise=noise,
+            n_qubits=n_qubits, dense_limit=dense_limit,
+        )
+        return expectation(h, state)
+
     return _OPTIMIZER_FUNCTIONS[optimizer](fun, params0, grad_tol=eps_opt)
+
+
+def _check_registers(state: QuantumState, h: QubitOperator, pool: Pool):
+    if state.n_qubits != h.n_qubits or state.n_qubits != pool.n_qubits:
+        raise DimensionError(
+            f"register mismatch: state {state.n_qubits}, hamiltonian "
+            f"{h.n_qubits}, pool {pool.n_qubits}"
+        )
 
 
 def pool_gradients(
@@ -378,11 +375,7 @@ def pool_gradients(
     On the vector backend this is 2 Re <H psi | T psi>; on the density
     backend the commutator [T, rho] is built termwise and traced against H.
     """
-    if state.n_qubits != h.n_qubits or state.n_qubits != pool.n_qubits:
-        raise DimensionError(
-            f"register mismatch: state {state.n_qubits}, hamiltonian "
-            f"{h.n_qubits}, pool {pool.n_qubits}"
-        )
+    _check_registers(state, h, pool)
     state.check_weight()
     grads = np.zeros(len(pool))
     if not state.is_density:
@@ -423,11 +416,7 @@ def finite_difference_pool_gradients(
     mode, where the commutator route would ignore the channels attached
     to the new element's own gates.
     """
-    if state.n_qubits != h.n_qubits or state.n_qubits != pool.n_qubits:
-        raise DimensionError(
-            f"register mismatch: state {state.n_qubits}, hamiltonian "
-            f"{h.n_qubits}, pool {pool.n_qubits}"
-        )
+    _check_registers(state, h, pool)
     grads = np.zeros(len(pool))
     for alpha, element in enumerate(pool.elements):
         energies = []
@@ -473,12 +462,7 @@ def select_energy_rule(
         raise DimensionError(
             f"{grads.size} gradients for a pool of {len(pool)}"
         )
-    if grads.size == 0:
-        raise ConfigError("cannot select from an empty pool")
-    if grads.max() < STALL_TOL:
-        raise StalledError(
-            f"largest pool gradient {grads.max():.3e} below {STALL_TOL}"
-        )
+    select_gradient_rule(grads)  # the same empty-pool and stall checks
     candidates = np.argsort(-grads, kind="stable")[:subpool_size]
     best_index = -1
     best_energy = np.inf

@@ -9,6 +9,8 @@ both noise schemes: a single pure-state pass writes the perturbed states
 into row blocks of at most max(2^n, one element's rows) that cross later
 terms and elements by exact evolution, which costs O(rows x later
 elements) vectorised work instead of O(N_II x gates) Python gate calls.
+That exact evolution is ``simulator.apply_rotations_to_rows``, the kernel
+``apply_element`` also runs on a single state vector.
 
 Everything else here builds on that response: the maximally allowed gate
 error p_c for chemical accuracy, accuracy sweeps over (p, ansatz length),
@@ -19,7 +21,7 @@ of p_c against circuit size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, sin, sqrt
+from math import sqrt
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -41,7 +43,10 @@ from .simulator import (
     _element_with_raw_probability,
     apply_gate,
     apply_gate_to_rows,
+    apply_rotations_to_rows,
+    check_circuit,
     compile_term,
+    pauli_rotations,
     run_circuit,
 )
 
@@ -136,22 +141,13 @@ class ScalingFit:
     delta_e_max: float
 
 
-def _evolution(terms, theta: float):
-    """(targets, cos, i sin * phases[targets]) per term of exp(theta T),
-    in apply_element's order and arithmetic."""
-    out = []
-    for ps, b in terms:
-        targets, phases = pauli_action(ps)
-        out.append((targets, cos(b * theta), 1j * sin(b * theta) * phases[targets]))
-    return out
-
-
 def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
     """The batched engine behind both noise schemes.
 
-    ``steps`` walks the circuit as (evolution, gates, schedule). With
-    ``gates`` (gate_by_gate: one step per Pauli term; a bare gate list is
-    a single step without evolution) the clean state advances gate by gate
+    ``steps`` walks the circuit as (rotations, gates, schedule), the
+    rotations from ``pauli_rotations``. With ``gates`` (gate_by_gate: one
+    step per Pauli term; a bare gate list is a single step without
+    rotations) the clean state advances gate by gate
     and every CNOT is a slot. Without, it advances by the exact evolution
     and each ``schedule`` entry (qubit, count) is a slot whose shifts
     repeat ``count`` times (element_by_element). Each slot writes sigma psi
@@ -186,17 +182,11 @@ def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
             np.multiply(phases[targets], state.data[targets], out=block[used])
             used += 1
 
-    def carry(rows, evolutions, score=False):
-        """Evolve rows through whole steps, a chunk at a time; score them."""
+    def carry(rows, rotations, score=False):
+        """Evolve rows through rotations, a chunk at a time; score them."""
         for low in range(0, len(rows), chunk):
             part = rows[low:low + chunk]
-            scratch = gathered[:len(part)]
-            for evolution in evolutions:
-                for targets, c, phased in evolution:
-                    np.take(part, targets, axis=1, out=scratch)
-                    scratch *= phased
-                    part *= c
-                    part += scratch
+            apply_rotations_to_rows(part, rotations, gathered[:len(part)])
             if score:
                 # <H r|r> is the conjugate of <r|H|r>: conjugate H r in place
                 h_part = apply_operator(h, part.T)
@@ -209,15 +199,15 @@ def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
                     )
                 energies.extend(values.real.tolist())
 
-    for index, (evolution, gates, schedule) in enumerate(steps):
+    for index, (rotations, gates, schedule) in enumerate(steps):
         if used + sizes[index] > cap:
-            later = [step[0] for step in steps[index:]]
+            later = [rotation for step in steps[index:] for rotation in step[0]]
             carry(block[:used], later, score=True)
             used = 0
         else:
-            carry(block[:used], [evolution])
+            carry(block[:used], rotations)
         if gates is None:
-            carry(state.data[None], [evolution])
+            carry(state.data[None], rotations)
             for qubit, count in schedule:
                 perturb(qubit, count)
             continue
@@ -257,7 +247,7 @@ def gate_susceptibility(
     The list is one step of the batched engine: one pure-state pass fills
     a (3 N_II, 2^n) row block whose rows cross each later gate at once.
     """
-    return _susceptibility([(None, list(gates), None)], n_qubits, h, reference)
+    return _susceptibility([([], list(gates), None)], n_qubits, h, reference)
 
 
 def noise_susceptibility(
@@ -274,21 +264,14 @@ def noise_susceptibility(
     staircase; element_by_element perturbs at that scheme's channel
     slots instead; both run through the one batched engine.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (ansatz.n_params,):
-        raise DimensionError(
-            f"{params.shape} parameters for {ansatz.n_params} elements"
-        )
-    n = ansatz.n_qubits if ansatz.elements else n_qubits
-    if n is None:
-        raise ConfigError("empty ansatz needs an explicit n_qubits")
+    params, n = check_circuit(ansatz, params, n_qubits)
     pairs = list(zip(ansatz.elements, params.tolist()))
     if scheme == "gate_by_gate":
-        steps = [(_evolution([term], theta), compile_term(*term, theta), None)
+        steps = [(pauli_rotations([term], theta), compile_term(*term, theta), None)
                  for element, theta in pairs for term in element.terms]
     elif scheme == "element_by_element":
-        steps = [(_evolution(element.terms, theta), None, element.cnot_schedule)
-                 for element, theta in pairs]
+        steps = [(pauli_rotations(element.terms, theta), None,
+                  element.cnot_schedule) for element, theta in pairs]
     else:
         raise ConfigError(f"unknown noise scheme {scheme!r}")
     return _susceptibility(steps, n, h, reference)
@@ -309,17 +292,12 @@ def chi_from_density_derivative(
     is a legitimate analytic continuation; this is the cross-check that
     the pure-state susceptibility must reproduce.
     """
-    params = np.asarray(params, dtype=float)
-    n = ansatz.n_qubits if ansatz.elements else n_qubits
-    if n is None:
-        raise ConfigError("empty ansatz needs an explicit n_qubits")
+    params, n = check_circuit(ansatz, params, n_qubits)
     energies = []
     for signed in (step, -step):
         state = QuantumState.from_basis_index(reference, n, density=True)
-        for element, theta in zip(ansatz.elements, params):
-            _element_with_raw_probability(
-                state, element, float(theta), signed, scheme
-            )
+        for element, theta in zip(ansatz.elements, params.tolist()):
+            _element_with_raw_probability(state, element, theta, signed, scheme)
         energies.append(expectation(h, state))
     return (energies[0] - energies[1]) / (2.0 * step)
 

@@ -132,7 +132,6 @@ class Ansatz:
     """An ordered circuit of ansatz elements; one parameter each."""
 
     elements: tuple[AnsatzElement, ...] = ()
-    mode: str = "staircase"
 
     def __post_init__(self):
         for slot, e in enumerate(self.elements):
@@ -153,18 +152,18 @@ class Ansatz:
 
     def append(self, element: AnsatzElement) -> "Ansatz":
         new = element.with_param_index(len(self.elements))
-        return Ansatz(self.elements + (new,), self.mode)
+        return Ansatz(self.elements + (new,))
 
     def prefix(self, n: int) -> "Ansatz":
         if not 0 <= n <= len(self.elements):
             raise ConfigError(
                 f"prefix length {n} outside 0..{len(self.elements)}"
             )
-        return Ansatz(self.elements[:n], self.mode)
+        return Ansatz(self.elements[:n])
 
     @classmethod
-    def from_elements(cls, elements, mode: str = "staircase") -> "Ansatz":
-        out = cls((), mode)
+    def from_elements(cls, elements) -> "Ansatz":
+        out = cls()
         for e in elements:
             out = out.append(e)
         return out

@@ -71,16 +71,11 @@ EXIT_NUMERIC = 5
 ANSATZ_KINDS = ("adapt", "uccsd", "kupccgsd")
 
 
-def _parse_float_list(text):
-    if not text.strip():
-        return ()
-    return tuple(float(tok) for tok in text.split(","))
-
-
-def _parse_int_list(text):
-    if not text.strip():
-        return ()
-    return tuple(int(tok) for tok in text.split(","))
+def _list_of(kind):
+    """Parser of comma-separated values; blank text is the empty tuple."""
+    def parse(text):
+        return tuple(kind(tok) for tok in text.split(",")) if text.strip() else ()
+    return parse
 
 
 # key -> (default, parser). Parsers raise ValueError on bad input; the
@@ -88,8 +83,8 @@ def _parse_int_list(text):
 SCHEMA = {
     "molecule": ("h2_0.7414", str),
     "fcidump": ("", str),
-    "frozen_occupied": ((), _parse_int_list),
-    "frozen_virtual": ((), _parse_int_list),
+    "frozen_occupied": ((), _list_of(int)),
+    "frozen_virtual": ((), _list_of(int)),
     "ansatz": ("adapt", str),
     "pool": ("fermionic", str),
     "k": (1, int),
@@ -103,7 +98,7 @@ SCHEMA = {
     "growth_p": (0.0, float),
     "noise_scheme": ("gate_by_gate", str),
     "noise_multiplier": (1.0, float),
-    "p_grid": ((0.0, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3), _parse_float_list),
+    "p_grid": ((0.0, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3), _list_of(float)),
     "zne_multiplier": (3.0, float),
     "workers": (0, int),
     "dense_limit": (DENSITY_LIMIT_DEFAULT, int),
@@ -244,29 +239,34 @@ def grow_circuits(config, problem):
     """Build the circuit family to analyze: one prefix per depth.
 
     ADAPT prefixes replay the recorded growth path; fixed ansatz kinds
-    are optimized jointly and truncated from the tail.
+    are optimized jointly and truncated from the tail. Returns the
+    prefixes and whether every optimization behind them converged; a
+    warning on stderr says when one did not.
     """
     if config["ansatz"] == "adapt":
         record = adapt_run(problem, _adapt_config(config))
-        return record, truncation_prefixes(record)
-    if config["ansatz"] == "uccsd":
-        full = build_uccsd(problem.n_qubits, problem.n_electrons,
-                           pool_kind=config["pool"])
+        prefixes = truncation_prefixes(record)
+        converged = all(it.converged for it in record.iterations)
     else:
-        full = build_kupccgsd(problem.n_qubits, problem.n_electrons,
-                              config["k"])
-    reference = hartree_fock_index(problem.n_electrons)
-    result = optimize_parameters(
-        full, np.zeros(full.n_params), problem.hamiltonian, reference,
-        optimizer=config["optimizer"], eps_opt=config["eps_opt"],
-        dense_limit=config["dense_limit"], n_qubits=problem.n_qubits,
-    )
-    prefixes = [(0, Ansatz(), np.zeros(0))]
-    for n in range(1, len(full.elements) + 1):
-        prefixes.append(
-            (n, Ansatz.from_elements(full.elements[:n]), result.x[:n])
+        if config["ansatz"] == "uccsd":
+            full = build_uccsd(problem.n_qubits, problem.n_electrons,
+                               pool_kind=config["pool"])
+        else:
+            full = build_kupccgsd(problem.n_qubits, problem.n_electrons,
+                                  config["k"])
+        reference = hartree_fock_index(problem.n_electrons)
+        result = optimize_parameters(
+            full, np.zeros(full.n_params), problem.hamiltonian, reference,
+            optimizer=config["optimizer"], eps_opt=config["eps_opt"],
+            dense_limit=config["dense_limit"], n_qubits=problem.n_qubits,
         )
-    return None, prefixes
+        prefixes = [(n, Ansatz.from_elements(full.elements[:n]), result.x[:n])
+                    for n in range(len(full.elements) + 1)]
+        converged = result.converged
+    if not converged:
+        print("warning: the circuit parameters come from an optimization "
+              "that did not converge", file=sys.stderr)
+    return prefixes, converged
 
 
 def _ensure_out(config):
@@ -403,7 +403,7 @@ def _resolve_workers(config):
 def cmd_sweep(config, out):
     """Energy accuracy over the (p, circuit-depth) grid."""
     problem = load_problem(config)
-    _, prefixes = grow_circuits(config, problem)
+    prefixes, _ = grow_circuits(config, problem)
     workers = _resolve_workers(config)
     delta_e = _run_grid(config, problem, prefixes, config["p_grid"], workers)
     digest = _emit_resolved(config, out)
@@ -421,7 +421,7 @@ def cmd_sweep(config, out):
 def cmd_susceptibility(config, out):
     """Linear noise response of the fully grown circuit."""
     problem = load_problem(config)
-    _, prefixes = grow_circuits(config, problem)
+    prefixes, converged = grow_circuits(config, problem)
     n, ansatz, params = prefixes[-1]
     reference = hartree_fock_index(problem.n_electrons)
     report = noise_susceptibility(
@@ -440,6 +440,7 @@ def cmd_susceptibility(config, out):
         "residual": residual,
         "p_c": estimate.p_c, "unreachable": estimate.unreachable,
         "chi_flagged": estimate.chi_flagged,
+        "optimizer_converged": converged,
         "fluctuations": [list(f) for f in report.fluctuations],
     }
     _write_json(out / "susceptibility.json", payload)
@@ -458,7 +459,7 @@ def cmd_zne(config, out):
             f"zne_multiplier: amplified probability {m * max(grid)} "
             "exceeds 1; shrink p_grid or the multiplier"
         )
-    _, prefixes = grow_circuits(config, problem)
+    prefixes, _ = grow_circuits(config, problem)
     workers = _resolve_workers(config)
     raw = _run_grid(config, problem, prefixes, grid, workers)
     amplified = _run_grid(config, problem, prefixes,
@@ -483,7 +484,7 @@ def cmd_zne(config, out):
 def cmd_truncate_scan(config, out):
     """Best truncation depth for each noise level."""
     problem = load_problem(config)
-    _, prefixes = grow_circuits(config, problem)
+    prefixes, _ = grow_circuits(config, problem)
     workers = _resolve_workers(config)
     delta_e = _run_grid(config, problem, prefixes, config["p_grid"], workers)
     digest = _emit_resolved(config, out)

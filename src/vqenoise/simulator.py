@@ -2,7 +2,9 @@
 
 Noiseless and perturbation runs use a state-vector backend; noisy runs use
 a dense density matrix. Ansatz elements evolve either exactly (each Pauli
-term of the generator applied as a cosine/sine rotation) or through their
+term of the generator applied as a cosine/sine rotation: on vectors by
+the one kernel ``apply_rotations_to_rows``, which ``apply_element`` and
+the susceptibility engine in ``analysis`` share) or through their
 staircase gate decomposition; the two agree because every bundled
 generator has mutually commuting terms, which the test suite verifies
 against dense matrix exponentials.
@@ -16,6 +18,7 @@ then one channel per scheduled CNOT target.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,9 @@ DENSITY_LIMIT_DEFAULT = 12
 DENSITY_LIMIT_HARD = 14
 # Norm/trace drift beyond this aborts instead of silently renormalizing.
 DRIFT_TOL = 1e-8
+# Peak live 4^n complex arrays of a density-matrix run, rounded up from the
+# 7.1 traced while apply_element updates a trial copy of a held state.
+DENSITY_PEAK_COPIES = 8
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -69,6 +75,7 @@ class QuantumState:
                 f"basis index {index} outside register of {n_qubits} qubits"
             )
         if density:
+            _check_density_memory(n_qubits)
             data = np.zeros((dim, dim), dtype=complex)
             data[index, index] = 1.0
         else:
@@ -107,12 +114,11 @@ class QuantumState:
 
     def validate(self, atol: float = 1e-10) -> "QuantumState":
         """Full invariant check (norm/trace, Hermiticity, positivity)."""
-        if not self.is_density:
-            if abs(self.weight - 1.0) > atol:
-                raise NumericIntegrityError(f"vector norm {self.weight} != 1")
-            return self
         if abs(self.weight - 1.0) > atol:
-            raise NumericIntegrityError(f"density trace {self.weight} != 1")
+            kind = "density trace" if self.is_density else "vector norm"
+            raise NumericIntegrityError(f"{kind} {self.weight} != 1")
+        if not self.is_density:
+            return self
         if np.abs(self.data - self.data.conj().T).max() > atol:
             raise NumericIntegrityError("density matrix is not Hermitian")
         min_eig = float(np.linalg.eigvalsh(self.data)[0])
@@ -171,12 +177,9 @@ class GateOp:
     def matrix_1q(self) -> np.ndarray:
         if self.kind == "h":
             return _H_MATRIX
-        if self.kind in ("v", "vdg"):
-            half = math.pi / 4 if self.kind == "v" else -math.pi / 4
-            c, s = math.cos(half), math.sin(half)
-            return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-        c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
-        if self.axis == "X":
+        half = {"v": math.pi / 4, "vdg": -math.pi / 4}.get(self.kind, self.angle / 2)
+        c, s = math.cos(half), math.sin(half)
+        if self.kind != "rot" or self.axis == "X":
             return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
         if self.axis == "Y":
             return np.array([[c, -s], [s, c]], dtype=complex)
@@ -258,16 +261,15 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
     for q in gate.qubits:
         if not 0 <= q < n:
             raise DimensionError(f"gate qubit {q} outside register of {n} qubits")
-    if gate.is_cnot:
+    if not state.is_density:
+        apply_gate_to_rows(state.data[None], gate)
+    elif gate.is_cnot:
         perm = _cnot_permutation(n, *gate.qubits)
-        state.data = state.data[perm] if not state.is_density \
-            else np.ascontiguousarray(state.data[np.ix_(perm, perm)])
-        return state
-    m = gate.matrix_1q()
-    q = gate.qubits[0]
-    _apply_1q_left(state.data, m, q)
-    if state.is_density:
-        _apply_1q_right_dagger(state.data, m, q)
+        state.data = np.ascontiguousarray(state.data[np.ix_(perm, perm)])
+    else:
+        m = gate.matrix_1q()
+        _apply_1q_left(state.data, m, gate.qubits[0])
+        _apply_1q_right_dagger(state.data, m, gate.qubits[0])
     return state
 
 
@@ -318,38 +320,64 @@ def apply_depolarizing(state: QuantumState, qubit: int, p: float) -> QuantumStat
     return state
 
 
+def pauli_rotations(terms, theta: float) -> list:
+    """(targets, cos, i sin * phases[targets]) per nonzero-angle term of
+    exp(theta T): term exp(i b theta P) is cos(b theta) + i sin(b theta) P.
+    Applying them in stored order is exact because the terms commute."""
+    rotations = []
+    for ps, b in terms:
+        phi = b * theta
+        if phi != 0.0:
+            targets, phases = pauli_action(ps)
+            rotations.append(
+                (targets, math.cos(phi), 1j * math.sin(phi) * phases[targets])
+            )
+    return rotations
+
+
+def apply_rotations_to_rows(rows: np.ndarray, rotations, scratch: np.ndarray):
+    """Apply ``pauli_rotations`` in order, in place, to each row of a
+    (k, 2^n) block of state vectors, or to one 2^n vector; ``scratch`` has
+    the shape of ``rows``."""
+    for targets, c, phased in rotations:
+        # targets are always in range; "clip" skips take's buffered check
+        rows.take(targets, axis=-1, out=scratch, mode="clip")
+        scratch *= phased
+        rows *= c
+        rows += scratch
+
+
 def apply_element(
     state: QuantumState, element: AnsatzElement, theta: float
 ) -> QuantumState:
     """Exact evolution under exp(theta T), term by term.
 
-    Each term exp(i b theta P) acts as cos(b theta) + i sin(b theta) P;
-    the product over the element's stored term order is exact because the
-    terms commute.
+    A vector goes through ``apply_rotations_to_rows``; a density matrix
+    takes rho <- (c + i s P) rho (c - i s P) per term.
     """
     if element.n_qubits != state.n_qubits:
         raise DimensionError(
             f"element on {element.n_qubits} qubits, state on {state.n_qubits}"
         )
+    if not state.is_density:
+        rotations = pauli_rotations(element.terms, theta)
+        apply_rotations_to_rows(state.data, rotations, np.empty_like(state.data))
+        return state
     for ps, b in element.terms:
         phi = b * theta
         if phi == 0.0:
             continue
         c, s = math.cos(phi), math.sin(phi)
         targets, phases = pauli_action(ps)
-        if not state.is_density:
-            psi = state.data
-            state.data = c * psi + (1j * s) * (phases[targets] * psi[targets])
-        else:
-            rho = state.data
-            p_rho = phases[targets][:, None] * rho[targets, :]
-            rho_p = phases[None, :] * rho[:, targets]
-            p_rho_p = phases[None, :] * p_rho[:, targets]
-            state.data = (
-                c * c * rho
-                + (1j * s * c) * (p_rho - rho_p)
-                + (s * s) * p_rho_p
-            )
+        rho = state.data
+        p_rho = phases[targets][:, None] * rho[targets, :]
+        rho_p = phases[None, :] * rho[:, targets]
+        p_rho_p = phases[None, :] * p_rho[:, targets]
+        state.data = (
+            c * c * rho
+            + (1j * s * c) * (p_rho - rho_p)
+            + (s * s) * p_rho_p
+        )
     return state
 
 
@@ -394,11 +422,13 @@ def _element_with_raw_probability(
             apply_gate(state, gate)
             if gate.is_cnot:
                 _depolarize_core(state.data, state.n_qubits, gate.qubits[1], p)
-    else:
+    elif scheme == "element_by_element":
         apply_element(state, element, theta)
         for qubit, count in element.cnot_schedule:
             for _ in range(count):
                 _depolarize_core(state.data, state.n_qubits, qubit, p)
+    else:
+        raise ConfigError(f"unknown noise scheme {scheme!r}")
 
 
 def apply_noisy_element(
@@ -420,22 +450,45 @@ def apply_noisy_element(
     return state.check_weight()
 
 
-def compile_circuit(ansatz: Ansatz, params) -> list[GateOp]:
-    """Gate list of the whole circuit, element order preserved."""
+def check_circuit(ansatz: Ansatz, params, n_qubits: int | None = None):
+    """Float parameters (one per element) and register size (an empty
+    ansatz needs ``n_qubits``) of a circuit request."""
     params = np.asarray(params, dtype=float)
     if params.shape != (ansatz.n_params,):
         raise DimensionError(
             f"{params.shape} parameters for {ansatz.n_params} elements"
         )
-    gates: list[GateOp] = []
-    for element, theta in zip(ansatz.elements, params):
-        gates.extend(compile_element(element, float(theta)))
-    return gates
+    n = ansatz.n_qubits if ansatz.elements else n_qubits
+    if n is None:
+        raise ConfigError("empty ansatz needs an explicit n_qubits")
+    return params, n
+
+
+def compile_circuit(ansatz: Ansatz, params) -> list[GateOp]:
+    """Gate list of the whole circuit, element order preserved."""
+    params, _ = check_circuit(ansatz, params, n_qubits=0)  # gates need no register
+    return [gate for element, theta in zip(ansatz.elements, params.tolist())
+            for gate in compile_element(element, theta)]
 
 
 def cnot_count(ansatz: Ansatz) -> int:
     """N_II: the number of noisy (two-qubit) gates in the circuit."""
     return sum(e.cnot_count for e in ansatz.elements)
+
+
+def _check_density_memory(n_qubits: int):
+    """Refuse, before allocating, a density-matrix run that would outgrow
+    physical memory."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf reading
+        return
+    need = DENSITY_PEAK_COPIES * 16 * 4 ** n_qubits
+    if need > have:
+        raise ResourceLimitError(
+            f"{n_qubits}-qubit density-matrix runs need about "
+            f"{need / 2**30:.1f} GiB of {have / 2**30:.1f} GiB memory"
+        )
 
 
 def _check_density_limit(n_qubits: int, dense_limit: int):
@@ -465,26 +518,10 @@ def run_circuit(
     depolarizes every CNOT target; element_by_element applies exact
     element unitaries and then the per-element CNOT-target schedule.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (ansatz.n_params,):
-        raise DimensionError(
-            f"{params.shape} parameters for {ansatz.n_params} elements"
-        )
-    if ansatz.elements:
-        n = ansatz.n_qubits
-    elif n_qubits is not None:
-        n = n_qubits
-    else:
-        raise ConfigError("empty ansatz needs an explicit n_qubits")
-
-    if not noise.is_noisy:
-        state = QuantumState.from_basis_index(initial, n)
-        for element, theta in zip(ansatz.elements, params):
-            apply_element(state, element, float(theta))
-        return state.check_weight()
-
-    _check_density_limit(n, dense_limit)
-    state = QuantumState.from_basis_index(initial, n, density=True)
+    params, n = check_circuit(ansatz, params, n_qubits)
+    if noise.is_noisy:
+        _check_density_limit(n, dense_limit)
+    state = QuantumState.from_basis_index(initial, n, density=noise.is_noisy)
     for element, theta in zip(ansatz.elements, params):
         apply_noisy_element(state, element, float(theta), noise)
     return state.check_weight()

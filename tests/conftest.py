@@ -1,6 +1,8 @@
 """Shared fixtures. Molecule loads and ADAPT growth runs are expensive,
 so they are session-scoped and shared across test modules."""
 
+import os
+
 import pytest
 
 from vqenoise.chem import load_bundled
@@ -30,6 +32,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"{tag}: {'PASS' if passed else 'FAIL'}"
         )
+
+
+@pytest.fixture
+def physical_memory(monkeypatch):
+    """Set the installed memory, in bytes, that the density-matrix memory
+    guard reads through ``os.sysconf``; nothing is allocated."""
+    def set_memory(total):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": total // 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    return set_memory
 
 
 @pytest.fixture(scope="session")

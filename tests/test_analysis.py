@@ -288,6 +288,26 @@ class TestNoiseSusceptibility:
                 ansatz, params, h2.hamiltonian, hf, scheme="per_shot"
             )
 
+    def test_density_derivative_rejects_short_parameters(self, h2, qeb_h2):
+        # a short vector must not silently run a shorter circuit
+        ansatz, params, hf, _ = qeb_h2
+        with pytest.raises(DimensionError):
+            chi_from_density_derivative(ansatz, params[:1], h2.hamiltonian, hf)
+
+    def test_density_derivative_rejects_unknown_scheme(self, h2, qeb_h2):
+        # an unknown scheme must not fall back to element_by_element
+        ansatz, params, hf, _ = qeb_h2
+        with pytest.raises(ConfigError):
+            chi_from_density_derivative(
+                ansatz, params, h2.hamiltonian, hf, scheme="bogus"
+            )
+
+    def test_density_derivative_checks_memory(self, h2, qeb_h2, physical_memory):
+        ansatz, params, hf, _ = qeb_h2
+        physical_memory(4096)
+        with pytest.raises(ResourceLimitError):
+            chi_from_density_derivative(ansatz, params, h2.hamiltonian, hf)
+
 
 class TestEstimatePc:
     def test_simple_division(self):

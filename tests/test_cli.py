@@ -157,6 +157,17 @@ class TestExitCodes:
         )
         assert code == EXIT_RESOURCE
 
+    def test_memory_estimate_exits_resource(
+        self, tmp_path, capsys, physical_memory
+    ):
+        physical_memory(4096)
+        code = run_cli(
+            "sweep", "--set", "pool=qeb", "--set", "p_grid=0.001",
+            "--workers", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_RESOURCE
+        assert "density-matrix runs need" in capsys.readouterr().err
+
 
 class TestFciCommand:
     def test_matches_bundled_reference(self, tmp_path, capsys, h2):
@@ -296,6 +307,59 @@ class TestSweepCommand:
         deepest_clean = [r for r in rows
                          if r["p"] == 0 and r["n"] == lengths[-1]]
         assert deepest_clean[0]["delta_E"] < 1.6e-3
+
+
+FIXED_ARGS = ("--set", "ansatz=uccsd", "--set", "pool=qeb",
+              "--set", "p_grid=0,1e-3", "--workers", "1")
+
+
+def report_unconverged(monkeypatch):
+    """Every optimization reports non-convergence; results are unchanged."""
+    import vqenoise.adapt as adapt_module
+    import vqenoise.cli as cli_module
+
+    real = adapt_module.optimize_parameters
+
+    def patched(*args, **kwargs):
+        return replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(adapt_module, "optimize_parameters", patched)
+    monkeypatch.setattr(cli_module, "optimize_parameters", patched)
+
+
+class TestOptimizerConvergence:
+    @pytest.mark.parametrize("ansatz", ["uccsd", "adapt"])
+    def test_susceptibility_records_flag(
+        self, tmp_path, capsys, monkeypatch, ansatz
+    ):
+        args = ("susceptibility", "--set", f"ansatz={ansatz}",
+                "--set", "pool=qeb")
+        assert run_cli(*args, "--out", str(tmp_path / "a")) == EXIT_OK
+        payload = json.loads((tmp_path / "a/susceptibility.json").read_text())
+        assert payload["optimizer_converged"] is True
+        assert "warning:" not in capsys.readouterr().err
+
+        report_unconverged(monkeypatch)
+        assert run_cli(*args, "--out", str(tmp_path / "b")) == EXIT_OK
+        payload = json.loads((tmp_path / "b/susceptibility.json").read_text())
+        assert payload["optimizer_converged"] is False
+
+    @pytest.mark.parametrize("command, csv", [
+        ("sweep", "sweep.csv"), ("zne", "zne.csv"),
+        ("truncate-scan", "truncate_scan.csv"),
+    ])
+    def test_grid_commands_warn_with_unchanged_csv(
+        self, tmp_path, capsys, monkeypatch, command, csv
+    ):
+        assert run_cli(command, *FIXED_ARGS, "--out", str(tmp_path / "a")) \
+            == EXIT_OK
+        assert "warning:" not in capsys.readouterr().err
+        report_unconverged(monkeypatch)
+        assert run_cli(command, *FIXED_ARGS, "--out", str(tmp_path / "b")) \
+            == EXIT_OK
+        assert "warning:" in capsys.readouterr().err
+        assert (tmp_path / "a" / csv).read_bytes() \
+            == (tmp_path / "b" / csv).read_bytes()
 
 
 class TestSusceptibilityCommand:

@@ -24,16 +24,20 @@ from vqenoise.exceptions import (
 )
 from vqenoise.operators import PauliString, QubitOperator, expectation
 from vqenoise.simulator import (
+    DENSITY_PEAK_COPIES,
     NOISELESS,
     GateOp,
     NoiseModel,
     QuantumState,
+    _check_density_memory,
     apply_depolarizing,
     apply_element,
     apply_gate,
+    apply_rotations_to_rows,
     cnot_count,
     compile_circuit,
     compile_element,
+    pauli_rotations,
     run_circuit,
 )
 
@@ -404,27 +408,48 @@ class TestCompileElement:
         assert cnot_count(Ansatz()) == 0
 
 
+def assert_elements_match_expm(start, theta):
+    """apply_element on a copy of ``start`` (vector or density matrix)
+    against a dense exponential, for every element of the three pools."""
+    for pool_name in ("fermionic_4", "qeb_4", "qubit_pauli_4"):
+        for e in ALL_POOLS[pool_name]():
+            s = QuantumState(4, start.copy())
+            apply_element(s, e, theta)
+            u = element_unitary_expm(e, theta)
+            expected = u @ start @ u.conj().T if start.ndim == 2 else u @ start
+            np.testing.assert_allclose(
+                s.data, expected, atol=1e-12, err_msg=e.label
+            )
+
+
 class TestApplyElement:
     @pytest.mark.parametrize("theta", [0.3, -1.1])
     def test_vector_matches_expm_oracle(self, theta):
-        for e in build_fermionic_pool(4, 2).elements:
-            v = random_vector(4, seed=11)
-            s = QuantumState(4, v.copy())
-            apply_element(s, e, theta)
-            np.testing.assert_allclose(
-                s.data, element_unitary_expm(e, theta) @ v, atol=1e-12
-            )
+        assert_elements_match_expm(random_vector(4, seed=11), theta)
 
     @pytest.mark.parametrize("theta", [0.3, -1.1])
     def test_density_matches_expm_oracle(self, theta):
-        for e in build_qeb_pool(4, 2).elements:
-            rho = random_density(4, seed=13)
-            s = QuantumState(4, rho.copy())
-            apply_element(s, e, theta)
-            u = element_unitary_expm(e, theta)
-            np.testing.assert_allclose(
-                s.data, u @ rho @ u.conj().T, atol=1e-12
-            )
+        assert_elements_match_expm(random_density(4, seed=13), theta)
+
+    def test_row_kernel_matches_single_states(self):
+        # a block of k rows through one rotation list, which skips the
+        # zero-angle element, equals k single-state apply_element runs
+        pool = build_fermionic_pool(4, 2).elements
+        steps = [(pool[2], 0.4), (pool[0], 0.0), (pool[1], -0.7)]
+        assert pauli_rotations(pool[0].terms, 0.0) == []
+        rotations = [r for e, theta in steps
+                     for r in pauli_rotations(e.terms, theta)]
+        start = np.array([random_vector(4, seed) for seed in range(5)])
+        block = start.copy()
+        apply_rotations_to_rows(block, rotations, np.empty_like(block))
+        u = element_unitary_expm(pool[1], -0.7) \
+            @ element_unitary_expm(pool[2], 0.4)
+        for row, v in zip(block, start):
+            s = QuantumState(4, v.copy())
+            for e, theta in steps:
+                apply_element(s, e, theta)
+            np.testing.assert_array_equal(row, s.data)
+            np.testing.assert_allclose(row, u @ v, atol=1e-12)
 
     def test_zero_angle_is_identity(self):
         v = random_vector(4, seed=3)
@@ -560,6 +585,28 @@ class TestRunCircuit:
         with pytest.raises(ConfigError):
             run_circuit(3, ansatz, [0.1, 0.2, 0.3],
                         noise=NoiseModel(1e-3), dense_limit=20)
+
+
+class TestDensityMemoryGuard:
+    """The guard works on its estimate alone; no large matrix is built."""
+
+    def test_fourteen_qubits_refused_on_eight_gigabytes(self, physical_memory):
+        physical_memory(8 * 10**9)
+        _check_density_memory(12)  # 8 copies of 256 MiB
+        with pytest.raises(ResourceLimitError):
+            _check_density_memory(14)  # 8 copies of 4 GiB
+
+    def test_noisy_run_refused_before_allocating(self, physical_memory):
+        ansatz = build_uccsd(4, 2)
+        noise = NoiseModel(1e-3)
+        estimate = DENSITY_PEAK_COPIES * 16 * 4**4
+        physical_memory(estimate - 4096)
+        with pytest.raises(ResourceLimitError):
+            run_circuit(3, ansatz, [0.1, 0.2, 0.3], noise=noise)
+        # the vector backend is not guarded
+        run_circuit(3, ansatz, [0.1, 0.2, 0.3])
+        physical_memory(estimate)
+        assert run_circuit(3, ansatz, [0.1, 0.2, 0.3], noise=noise).is_density
 
 
 @pytest.fixture(scope="module")

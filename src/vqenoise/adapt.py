@@ -10,8 +10,10 @@ candidate's single new angle and keeps the lowest energy.
 Both optimizers are local implementations: Nelder-Mead with
 reflection/expansion/contraction/shrink coefficients (1, 2, 0.5, 0.5) and
 shrunk-simplex restarts, and BFGS with a backtracking Armijo line search.
-Gradients for the optimizers come from central finite differences, so the
-same code paths serve the noiseless and the noisy objective.
+A noiseless objective hands them its exact adjoint gradient: one forward
+pass, then one backward sweep that un-applies each element from the
+state and from H|psi> (Jones and Gacon, arXiv:2009.02823). Noisy
+objectives and energy-rule screening use central finite differences.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .simulator import (
     NoiseModel,
     QuantumState,
     apply_noisy_element,
+    apply_rotations_to_rows,
+    pauli_rotations,
     run_circuit,
 )
 
@@ -96,7 +100,8 @@ class AdaptConfig:
 class AdaptIteration:
     """One accepted growth step: chosen element, re-optimized parameters,
     energy, the full pool-gradient vector, the running CNOT count, and the
-    re-optimization's convergence flag and energy-evaluation count."""
+    re-optimization's convergence flag, energy-evaluation and
+    gradient-evaluation counts."""
 
     label: str
     params: tuple[float, ...]
@@ -105,6 +110,7 @@ class AdaptIteration:
     cumulative_cnots: int
     converged: bool
     n_evaluations: int
+    n_gradients: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +153,15 @@ class AdaptRecord:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Terminal point of one minimization."""
+    """Terminal point of one minimization. ``n_evaluations`` counts
+    objective calls, those inside finite-difference gradients included;
+    ``n_gradients`` counts gradient calls."""
 
     x: np.ndarray
     energy: float
     converged: bool
     n_evaluations: int
+    n_gradients: int
 
 
 def central_gradient(fun, x, step: float = FD_STEP) -> np.ndarray:
@@ -166,18 +175,32 @@ def central_gradient(fun, x, step: float = FD_STEP) -> np.ndarray:
     return grad
 
 
-def _counted(fun):
+def _counted(fun, what="objective"):
     """``fun`` rejecting non-finite values; ``.evaluations`` counts calls."""
     def f(point):
         f.evaluations += 1
         value = fun(point)
-        if not np.isfinite(value):
+        if not np.all(np.isfinite(value)):
             raise NumericIntegrityError(
-                f"objective returned non-finite value {value}"
+                f"{what} returned non-finite value {value}"
             )
         return value
     f.evaluations = 0
     return f
+
+
+def _counted_pair(fun, gradient, fd_step):
+    """Counted objective and gradient; without ``gradient``, central
+    differences of the counted objective."""
+    f = _counted(fun)
+    if gradient is None:
+        def gradient(point):
+            return central_gradient(f, point, fd_step)
+    return f, _counted(gradient, "gradient")
+
+
+def _result(x, energy, converged, f, grad) -> OptimizeResult:
+    return OptimizeResult(x, energy, converged, f.evaluations, grad.evaluations)
 
 
 def _nelder_mead_core(f, x0, offset, ftol=1e-13, xtol=1e-11, max_iter=None):
@@ -237,25 +260,26 @@ def nelder_mead(
     simplex_offset: float = 0.05,
     max_restarts: int = 8,
     fd_step: float = FD_STEP,
+    gradient=None,
 ) -> OptimizeResult:
     """Derivative-free descent, restarted with a shrunk simplex until the
-    finite-difference gradient norm reaches ``grad_tol``."""
+    gradient norm reaches ``grad_tol``. The gradient, used only for that
+    check, is ``gradient(x)`` or else central differences."""
     x = np.asarray(x0, dtype=float).copy()
-    f = _counted(fun)
+    f, grad_f = _counted_pair(fun, gradient, fd_step)
     if x.size == 0:
-        return OptimizeResult(x, f(x), True, f.evaluations)
+        return _result(x, f(x), True, f, grad_f)
 
     offset = simplex_offset
     best_value = f(x)
     converged = False
     for _ in range(max_restarts + 1):
         x, best_value = _nelder_mead_core(f, x, offset)
-        grad = central_gradient(f, x, fd_step)
-        if float(np.linalg.norm(grad)) <= grad_tol:
+        if float(np.linalg.norm(grad_f(x))) <= grad_tol:
             converged = True
             break
         offset *= 0.25
-    return OptimizeResult(x, best_value, converged, f.evaluations)
+    return _result(x, best_value, converged, f, grad_f)
 
 
 def bfgs_minimize(
@@ -266,20 +290,22 @@ def bfgs_minimize(
     fd_step: float = FD_STEP,
     armijo: float = 1e-4,
     curvature_tol: float = 1e-12,
+    gradient=None,
 ) -> OptimizeResult:
-    """Quasi-Newton descent with finite-difference gradients.
+    """Quasi-Newton descent with ``gradient(x)``, or else central
+    finite-difference gradients.
 
     The inverse Hessian starts at the identity, is rescaled on the first
     curvature pair, and skips updates whenever y.s <= ``curvature_tol``.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f = _counted(fun)
+    f, grad_f = _counted_pair(fun, gradient, fd_step)
     n = x.size
     if n == 0:
-        return OptimizeResult(x, f(x), True, f.evaluations)
+        return _result(x, f(x), True, f, grad_f)
 
     fx = f(x)
-    grad = central_gradient(f, x, fd_step)
+    grad = grad_f(x)
     h_inv = np.eye(n)
     identity = np.eye(n)
     scaled = False
@@ -306,10 +332,10 @@ def bfgs_minimize(
                 break
             step *= 0.5
         if step < 1e-14:
-            # no descent even along -grad: the finite-difference gradient
-            # resolution is exhausted
+            # no descent even along -grad: the gradient's resolution is
+            # exhausted
             break
-        grad_new = central_gradient(f, x_new, fd_step)
+        grad_new = grad_f(x_new)
         s = x_new - x
         y = grad_new - grad
         ys = float(y @ s)
@@ -321,7 +347,7 @@ def bfgs_minimize(
             left = identity - rho * np.outer(s, y)
             h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
         x, fx, grad = x_new, f_new, grad_new
-    return OptimizeResult(x, fx, converged, f.evaluations)
+    return _result(x, fx, converged, f, grad_f)
 
 
 _OPTIMIZER_FUNCTIONS = {"nelder_mead": nelder_mead, "bfgs": bfgs_minimize}
@@ -341,7 +367,8 @@ def optimize_parameters(
     """Minimize the circuit energy over all ansatz parameters.
 
     Deterministic given identical inputs; ``converged`` reports whether
-    the finite-difference gradient norm reached ``eps_opt``.
+    the gradient norm reached ``eps_opt``. The gradient is the exact
+    adjoint one without noise and central differences with it.
     """
     params0 = np.asarray(params0, dtype=float)
     if not np.all(np.isfinite(params0)):
@@ -356,7 +383,47 @@ def optimize_parameters(
         )
         return expectation(h, state)
 
-    return _OPTIMIZER_FUNCTIONS[optimizer](fun, params0, grad_tol=eps_opt)
+    gradient = None
+    if not noise.is_noisy:
+        gradient = _adjoint_gradient(ansatz, h, reference, n_qubits)
+    return _OPTIMIZER_FUNCTIONS[optimizer](
+        fun, params0, grad_tol=eps_opt, gradient=gradient
+    )
+
+
+def _apply_generator(element, psi: np.ndarray) -> np.ndarray:
+    """T psi for the element's generator T = sum_k i b_k P_k."""
+    t_psi = np.zeros_like(psi)
+    for ps, b in element.terms:
+        targets, phases = pauli_action(ps)
+        t_psi += (1j * b) * (phases[targets] * psi[targets])
+    return t_psi
+
+
+def _adjoint_gradient(ansatz: Ansatz, h: QubitOperator, reference: int,
+                      n_qubits: int | None):
+    """Exact dE/dtheta of the noiseless circuit energy.
+
+    With psi_j the state after element j and lambda_j = U_{j+1}+ ... U_N+
+    H psi_N, dE/dtheta_j = 2 Re <lambda_j|T_j psi_j>. One forward pass
+    gives psi_N; the backward sweep steps both rows of (psi, lambda) back
+    through U_j+ = exp(-theta_j T_j) with the shared rotation kernel.
+    """
+    def gradient(params):
+        state = run_circuit(reference, ansatz, params, n_qubits=n_qubits)
+        rows = np.stack([state.data, apply_operator(h, state.data)])
+        scratch = np.empty_like(rows)
+        grad = np.zeros(ansatz.n_params)
+        for j in reversed(range(ansatz.n_params)):
+            element = ansatz.elements[j]
+            t_psi = _apply_generator(element, rows[0])
+            grad[j] = 2.0 * np.vdot(rows[1], t_psi).real
+            apply_rotations_to_rows(
+                rows, pauli_rotations(element.terms, -float(params[j])), scratch
+            )
+        return grad
+
+    return gradient
 
 
 def _check_registers(state: QuantumState, h: QubitOperator, pool: Pool):
@@ -382,10 +449,7 @@ def pool_gradients(
         psi = state.data
         h_psi = apply_operator(h, psi)
         for alpha, element in enumerate(pool.elements):
-            t_psi = np.zeros_like(psi)
-            for ps, b in element.terms:
-                targets, phases = pauli_action(ps)
-                t_psi += (1j * b) * (phases[targets] * psi[targets])
+            t_psi = _apply_generator(element, psi)
             grads[alpha] = 2.0 * np.vdot(h_psi, t_psi).real
         return grads
     rho = state.data
@@ -569,6 +633,7 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
             cumulative_cnots=sum(e.cnot_count for e in ansatz.elements),
             converged=bool(result.converged),
             n_evaluations=int(result.n_evaluations),
+            n_gradients=int(result.n_gradients),
         ))
         if not config.noise.is_noisy and \
                 energy - problem.fci_energy < config.eps_truncation:

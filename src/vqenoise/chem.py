@@ -368,7 +368,21 @@ class Problem:
         dense_limit: int = 14,
     ) -> "Problem":
         frozen = frozen or FrozenCoreSpec()
-        fermionic, n_so, n_el, shift = build_hamiltonian(ints, frozen)
+        return cls.from_hamiltonian(
+            ints, frozen, build_hamiltonian(ints, frozen), dense_limit
+        )
+
+    @classmethod
+    def from_hamiltonian(
+        cls,
+        ints: MolecularIntegrals,
+        frozen: FrozenCoreSpec,
+        built: tuple[FermionOperator, int, int, float],
+        dense_limit: int = 14,
+    ) -> "Problem":
+        """The problem whose ``build_hamiltonian(ints, frozen)`` output is
+        ``built``; nothing is rebuilt."""
+        fermionic, n_so, n_el, shift = built
         if n_so == 0:
             raise ConfigError(
                 "no active orbitals remain; the energy is the core shift "

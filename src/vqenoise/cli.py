@@ -42,7 +42,6 @@ from .chem import (
     FrozenCoreSpec,
     Problem,
     build_hamiltonian,
-    load_bundled,
     load_fcidump,
     data_path,
 )
@@ -207,12 +206,19 @@ def config_hash(config):
     return hashlib.sha256(resolved_text(hashed).encode()).hexdigest()
 
 
-def load_problem(config):
+def _load_integrals(config):
+    """Integrals of ``fcidump``, else of the bundled ``molecule``, and the
+    frozen-orbital spec."""
     frozen = FrozenCoreSpec(config["frozen_occupied"],
                             config["frozen_virtual"])
     if config["fcidump"]:
-        return Problem.from_fcidump(config["fcidump"], frozen)
-    return load_bundled(config["molecule"], frozen)
+        return load_fcidump(config["fcidump"]), frozen
+    with resources.as_file(data_path(config["molecule"])) as path:
+        return load_fcidump(path), frozen
+
+
+def load_problem(config):
+    return Problem.from_integrals(*_load_integrals(config))
 
 
 def _adapt_config(config):
@@ -300,14 +306,9 @@ def _emit_resolved(config, out):
 
 def cmd_fci(config, out):
     """Reference energies from exact diagonalization."""
-    frozen = FrozenCoreSpec(config["frozen_occupied"],
-                            config["frozen_virtual"])
-    if config["fcidump"]:
-        ints = load_fcidump(config["fcidump"])
-    else:
-        with resources.as_file(data_path(config["molecule"])) as path:
-            ints = load_fcidump(path)
-    _, n_so, n_el, shift = build_hamiltonian(ints, frozen)
+    ints, frozen = _load_integrals(config)
+    built = build_hamiltonian(ints, frozen)
+    _, n_so, _, shift = built
     digest = _emit_resolved(config, out)
     if n_so == 0:
         payload = {
@@ -317,7 +318,7 @@ def cmd_fci(config, out):
         }
         print(f"E_FCI = {shift:.12f} (core energy only; no active space)")
     else:
-        problem = Problem.from_integrals(ints, frozen)
+        problem = Problem.from_hamiltonian(ints, frozen, built)
         payload = {
             "config_hash": digest, "version": __version__,
             "n_qubits": problem.n_qubits,
@@ -353,6 +354,7 @@ def cmd_adapt(config, out):
                 "cumulative_cnots": it.cumulative_cnots,
                 "converged": it.converged,
                 "n_evaluations": it.n_evaluations,
+                "n_gradients": it.n_gradients,
             }
             for it in record.iterations
         ],

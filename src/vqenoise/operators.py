@@ -44,7 +44,9 @@ class PauliString:
         n_qubits: register size; every index must be smaller than this.
     """
 
-    __slots__ = ("n_qubits", "x_mask", "z_mask")
+    # ``_action`` holds the (targets, phases) pair that ``pauli_action``
+    # stores on first use; it is never pickled.
+    __slots__ = ("n_qubits", "x_mask", "z_mask", "_action")
 
     def __init__(self, paulis: Mapping[int, str] | None, n_qubits: int):
         if n_qubits <= 0:
@@ -64,6 +66,7 @@ class PauliString:
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "x_mask", x)
         object.__setattr__(self, "z_mask", z)
+        object.__setattr__(self, "_action", None)
 
     @classmethod
     def from_masks(cls, x_mask: int, z_mask: int, n_qubits: int) -> "PauliString":
@@ -90,6 +93,7 @@ class PauliString:
         # slots plus the immutability guard block pickle's default setattr
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_action", None)
 
     @property
     def paulis(self) -> dict[int, str]:
@@ -151,7 +155,20 @@ def pauli_action(ps: PauliString) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(targets, phases)`` such that ``P |k> = phases[k] |targets[k]>``
     for every basis index k. ``targets`` is the involution ``k ^ x_mask``.
+    On registers of at most ``_MATRIX_CACHE_QUBITS`` qubits the pair is
+    built once, stored on the string and returned read-only after that.
     """
+    if ps._action is not None:
+        return ps._action
+    action = _build_action(ps)
+    if ps.n_qubits <= _MATRIX_CACHE_QUBITS:
+        for arr in action:
+            arr.flags.writeable = False
+        object.__setattr__(ps, "_action", action)
+    return action
+
+
+def _build_action(ps: PauliString) -> tuple[np.ndarray, np.ndarray]:
     dim = 1 << ps.n_qubits
     k = np.arange(dim, dtype=np.uint64)
     parity = np.bitwise_count(k & np.uint64(ps.z_mask)) & np.uint64(1)
@@ -326,8 +343,9 @@ class QubitOperator:
         dim = 1 << self.n_qubits
         m = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim)
+        # each term is used once here, so its action is not stored
         for ps, coeff in self._terms.items():
-            targets, phases = pauli_action(ps)
+            targets, phases = _build_action(ps)
             m[targets, cols] += coeff * phases
         if self.n_qubits <= _MATRIX_CACHE_QUBITS:
             object.__setattr__(self, "_matrix", m)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vqenoise.adapt import (
+    _adjoint_gradient,
     AdaptConfig,
     AdaptIteration,
     AdaptRecord,
@@ -99,6 +100,26 @@ class TestOptimizers:
     def test_evaluations_counted(self):
         res = bfgs_minimize(quadratic_bowl, np.array([2.0]))
         assert res.n_evaluations > 0
+
+    @pytest.mark.parametrize("minimize", OPTIMIZERS)
+    def test_given_gradient_is_used_and_counted(self, minimize):
+        def exact(x):
+            return 2.0 * (x - 0.3)
+
+        plain = minimize(quadratic_bowl, np.array([1.2]))
+        res = minimize(quadratic_bowl, np.array([1.2]), gradient=exact)
+        assert res.converged
+        assert res.x[0] == pytest.approx(0.3, abs=1e-6)
+        assert res.n_gradients > 0
+        # central differences spend two objective calls per gradient
+        assert plain.n_evaluations - res.n_evaluations \
+            >= 2 * res.n_gradients
+
+    @pytest.mark.parametrize("minimize", OPTIMIZERS)
+    def test_non_finite_gradient_rejected(self, minimize):
+        with pytest.raises(NumericIntegrityError, match="gradient"):
+            minimize(coupled_quadratic, np.zeros(3),
+                     gradient=lambda x: np.array([0.0, np.nan, 0.0]))
 
 
 def single_generator_pool(paulis, n_qubits, label="t"):
@@ -234,6 +255,84 @@ class TestSelectEnergyRule:
                 hf_state, h2.hamiltonian, pool, np.zeros(len(pool)),
                 subpool_size=2,
             )
+
+
+def adjoint_and_oracle(problem, ansatz, params):
+    """Adjoint gradient and the central-difference oracle at ``params``."""
+    reference = hartree_fock_index(problem.n_electrons)
+
+    def energy(x):
+        return expectation(problem.hamiltonian, run_circuit(
+            reference, ansatz, x, n_qubits=problem.n_qubits))
+
+    adjoint = _adjoint_gradient(ansatz, problem.hamiltonian, reference,
+                                problem.n_qubits)(params)
+    return adjoint, central_gradient(energy, params)
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize("molecule", ["h2", "h4"])
+    @pytest.mark.parametrize("pool_kind", ["fermionic", "qeb", "qubit_pauli"])
+    def test_adapt_prefixes_match_central_differences(
+        self, request, molecule, pool_kind
+    ):
+        problem = request.getfixturevalue(molecule)
+        record = adapt_run(problem, AdaptConfig(pool_kind=pool_kind))
+        rng = np.random.default_rng(11)
+        for n, ansatz, params in truncation_prefixes(record)[1:]:
+            for point in (params, params + rng.uniform(-0.4, 0.4, n)):
+                adjoint, oracle = adjoint_and_oracle(problem, ansatz, point)
+                np.testing.assert_allclose(adjoint, oracle, rtol=0, atol=1e-7)
+
+    def test_uccsd_matches_central_differences(self, h4):
+        ansatz = build_uccsd(h4.n_qubits, h4.n_electrons)
+        params = np.random.default_rng(5).uniform(-0.3, 0.3, ansatz.n_params)
+        adjoint, oracle = adjoint_and_oracle(h4, ansatz, params)
+        assert np.abs(adjoint).max() > 1e-2
+        np.testing.assert_allclose(adjoint, oracle, rtol=0, atol=1e-7)
+
+    def test_zero_angle_and_repeated_element(self, h2):
+        pool = build_fermionic_pool(h2.n_qubits, h2.n_electrons)
+        double = pool.elements[-1]
+        ansatz = Ansatz.from_elements(
+            [pool.elements[0], double, double, pool.elements[1]]
+        )
+        params = np.array([0.0, 0.2, -0.35, 0.0])
+        adjoint, oracle = adjoint_and_oracle(h2, ansatz, params)
+        assert np.abs(adjoint).max() > 1e-2
+        np.testing.assert_allclose(adjoint, oracle, rtol=0, atol=1e-7)
+
+
+class TestEvaluationCounts:
+    """Energy-evaluation budgets of noiseless optimization; central
+    differences spent 637 (UCCSD) and 2,187 (ADAPT) on these runs."""
+
+    def test_h4_uccsd_bfgs(self, h4):
+        ansatz = build_uccsd(h4.n_qubits, h4.n_electrons)
+        result = optimize_parameters(
+            ansatz, np.zeros(ansatz.n_params), h4.hamiltonian,
+            hartree_fock_index(h4.n_electrons),
+        )
+        assert result.converged
+        assert result.energy - h4.fci_energy < 1.6e-3
+        assert result.n_evaluations <= 60
+        assert 0 < result.n_gradients <= result.n_evaluations
+
+    def test_h4_fermionic_adapt(self, h4):
+        record = adapt_run(h4, AdaptConfig(pool_kind="fermionic"))
+        assert record.status == "reached_epsilon_t"
+        assert sum(it.n_evaluations for it in record.iterations) <= 400
+        assert all(it.n_gradients > 0 for it in record.iterations)
+
+    def test_noisy_objective_keeps_central_differences(self, h2):
+        pool = build_fermionic_pool(h2.n_qubits, h2.n_electrons)
+        ansatz = Ansatz.from_elements(pool.elements[-1:])
+        result = optimize_parameters(
+            ansatz, np.zeros(1), h2.hamiltonian,
+            hartree_fock_index(h2.n_electrons), noise=NoiseModel(1e-3),
+        )
+        # each gradient is two energy calls
+        assert result.n_evaluations >= 2 * result.n_gradients + 1
 
 
 class TestOptimizeParameters:
@@ -466,6 +565,7 @@ class TestTruncationPrefixes:
                     energy=it.energy, gradients=it.gradients,
                     cumulative_cnots=it.cumulative_cnots,
                     converged=it.converged, n_evaluations=it.n_evaluations,
+                    n_gradients=it.n_gradients,
                 )
                 for it in h2_record.iterations
             ),

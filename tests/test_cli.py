@@ -189,6 +189,41 @@ class TestFciCommand:
         assert payload["e_fci"] == payload["core_energy"]
         assert "core energy only" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("frozen", [(), ("frozen_occupied=0",
+                                             "frozen_virtual=1")])
+    def test_one_hamiltonian_build(self, tmp_path, capsys, monkeypatch,
+                                   frozen):
+        import vqenoise.chem as chem_module
+        import vqenoise.cli as cli_module
+        from vqenoise.chem import FrozenCoreSpec, load_fcidump
+
+        calls = []
+        real = chem_module.build_hamiltonian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chem_module, "build_hamiltonian", counted)
+        monkeypatch.setattr(cli_module, "build_hamiltonian", counted)
+        settings = [item for key in frozen for item in ("--set", key)]
+        assert run_cli("fci", *settings, "--out", str(tmp_path)) == EXIT_OK
+        assert len(calls) == 1
+        payload = json.loads((tmp_path / "fci.json").read_text())
+        spec = FrozenCoreSpec((0,), (1,)) if frozen else FrozenCoreSpec()
+        with cli_module.resources.as_file(
+                cli_module.data_path("h2_0.7414")) as path:
+            ints = load_fcidump(path)
+        _, n_so, n_el, shift = real(ints, spec)
+        assert (payload["n_qubits"], payload["n_electrons"]) == (n_so, n_el)
+        assert payload["core_energy"] == shift
+        if frozen:
+            assert payload["e_fci"] == payload["e_max"] == shift
+        else:
+            problem = chem_module.Problem.from_integrals(ints, spec)
+            assert payload["e_fci"] == problem.fci_energy
+            assert payload["e_max"] == problem.max_energy
+
     def test_corrupt_fcidump_rejected(self, tmp_path, capsys):
         bad = tmp_path / "junk.fcidump"
         bad.write_text("&FCI NORB=banana\n")
@@ -235,6 +270,9 @@ class TestAdaptCommand:
             == [False] * record.n_iterations
         assert [it["n_evaluations"] for it in payload["iterations"]] \
             == [it.n_evaluations for it in record.iterations]
+        assert [it["n_gradients"] for it in payload["iterations"]] \
+            == [it.n_gradients for it in record.iterations]
+        assert all(it.n_gradients > 0 for it in record.iterations)
 
     def test_zero_iterations_reports_reference(self, tmp_path, capsys, h2):
         code = run_cli(

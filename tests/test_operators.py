@@ -1,5 +1,7 @@
 """Pauli algebra, Jordan-Wigner transform, diagonalization, expectations."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,48 @@ class TestPauliString:
         m = np.zeros((4, 4), dtype=complex)
         m[targets, np.arange(4)] = phases
         np.testing.assert_allclose(m, kron_pauli({0: "Y", 1: "Z"}, 2), atol=1e-14)
+
+
+class TestPauliActionCache:
+    def test_stored_read_only_and_equal_to_fresh_build(self):
+        p = ps({0: "Y", 2: "X", 3: "Z"}, 8)
+        targets, phases = pauli_action(p)
+        again = pauli_action(p)
+        assert again[0] is targets and again[1] is phases
+        assert not targets.flags.writeable and not phases.flags.writeable
+        with pytest.raises(ValueError):
+            phases[0] = 0.0
+        fresh = pauli_action(ps({0: "Y", 2: "X", 3: "Z"}, 8))
+        assert fresh[0] is not targets
+        assert np.array_equal(fresh[0], targets)
+        assert np.array_equal(fresh[1], phases)
+
+    def test_pickle_carries_no_arrays(self):
+        p = ps({1: "X", 4: "Y"}, 6)
+        blank = pickle.dumps(p)
+        action = pauli_action(p)
+        data = pickle.dumps(p)
+        assert data == blank
+        loaded = pickle.loads(data)
+        assert loaded == p and loaded._action is None
+        targets, phases = pauli_action(loaded)
+        assert targets is not action[0]
+        assert np.array_equal(targets, action[0])
+        assert np.array_equal(phases, action[1])
+
+    def test_large_register_not_stored(self):
+        p = ps({0: "X", 10: "Y"}, 11)
+        first = pauli_action(p)
+        second = pauli_action(p)
+        assert p._action is None
+        assert first[0] is not second[0]
+        assert first[1].flags.writeable
+        assert np.array_equal(first[1], second[1])
+
+    def test_operator_matrix_stores_no_action(self):
+        op = QubitOperator(3, {ps({0: "X"}, 3): 0.5, ps({1: "Z", 2: "Y"}, 3): 2.0})
+        op.matrix()
+        assert all(term._action is None for term in op.terms)
 
 
 class TestPauliMultiply:

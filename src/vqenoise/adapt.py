@@ -392,11 +392,12 @@ def optimize_parameters(
 
 
 def _apply_generator(element, psi: np.ndarray) -> np.ndarray:
-    """T psi for the element's generator T = sum_k i b_k P_k."""
+    """T psi for T = sum_k i b_k P_k, on a vector or each row of a block."""
     t_psi = np.zeros_like(psi)
     for ps, b in element.terms:
         targets, phases = pauli_action(ps)
-        t_psi += (1j * b) * (phases[targets] * psi[targets])
+        # take: psi[..., targets] without the ellipsis index's overhead
+        t_psi += (1j * b) * (phases[targets] * psi.take(targets, -1, mode="clip"))
     return t_psi
 
 
@@ -439,8 +440,9 @@ def pool_gradients(
 ) -> np.ndarray:
     """Commutator expectations Tr([H, T_alpha] rho) for every element.
 
-    On the vector backend this is 2 Re <H psi | T psi>; on the density
-    backend the commutator [T, rho] is built termwise and traced against H.
+    On the vector backend this is 2 Re <H psi | T psi>. On the density
+    backend T acts on every column of rho; T is anti-Hermitian and rho
+    Hermitian, so [T, rho] = T rho + (T rho)+, which is traced against H.
     """
     _check_registers(state, h, pool)
     state.check_weight()
@@ -452,14 +454,9 @@ def pool_gradients(
             t_psi = _apply_generator(element, psi)
             grads[alpha] = 2.0 * np.vdot(h_psi, t_psi).real
         return grads
-    rho = state.data
     for alpha, element in enumerate(pool.elements):
-        comm = np.zeros_like(rho)
-        for ps, b in element.terms:
-            targets, phases = pauli_action(ps)
-            t_rho = phases[targets][:, None] * rho[targets, :]
-            rho_t = phases[None, :] * rho[:, targets]
-            comm += (1j * b) * (t_rho - rho_t)
+        comm = _apply_generator(element, state.data.T).T  # T rho
+        comm += comm.conj().T  # [T, rho] = T rho + (T rho)+
         # Tr(H [T, rho]) = Tr([H, T] rho); [H, T] is Hermitian so the
         # expectation helper's imaginary-residue guard applies
         grads[alpha] = expectation(h, QuantumState(state.n_qubits, comm))

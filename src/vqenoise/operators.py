@@ -615,8 +615,9 @@ def apply_operator(h: QubitOperator, vec: np.ndarray) -> np.ndarray:
 def expectation(h: QubitOperator, state) -> float:
     """<psi|H|psi> for a state vector, Tr[H rho] for a density matrix.
 
-    The imaginary residue must stay below ``IMAG_TOL``; anything larger
-    signals corrupted state and raises :class:`NumericIntegrityError`.
+    The imaginary residue must stay below ``IMAG_TOL`` and the value must
+    be finite; anything else signals corrupted state and raises
+    :class:`NumericIntegrityError`.
     """
     arr = _state_array(state)
     dim = 1 << h.n_qubits
@@ -634,8 +635,8 @@ def expectation(h: QubitOperator, state) -> float:
         for ps, coeff in h.terms.items():
             targets, phases = pauli_action(ps)
             value += coeff * complex(np.sum(phases * arr[cols, targets]))
-    if abs(value.imag) > IMAG_TOL:
+    if not (abs(value.imag) <= IMAG_TOL and np.isfinite(value.real)):
         raise NumericIntegrityError(
-            f"expectation has imaginary residue {value.imag:.3e}"
+            f"expectation {value:.3e} is not finite or has an imaginary residue"
         )
     return float(value.real)

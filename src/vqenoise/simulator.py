@@ -1,13 +1,15 @@
 """Dual-backend quantum register with depolarizing noise.
 
 Noiseless and perturbation runs use a state-vector backend; noisy runs use
-a dense density matrix. Ansatz elements evolve either exactly (each Pauli
-term of the generator applied as a cosine/sine rotation: on vectors by
-the one kernel ``apply_rotations_to_rows``, which ``apply_element`` and
-the susceptibility engine in ``analysis`` share) or through their
-staircase gate decomposition; the two agree because every bundled
-generator has mutually commuting terms, which the test suite verifies
-against dense matrix exponentials.
+a dense density matrix, which evolves through the same state-vector
+kernels: rho <- U rho U+ takes U on every column of rho and U* on every
+row. Ansatz elements evolve either exactly (each Pauli term of the
+generator applied as a cosine/sine rotation by the one kernel
+``apply_rotations_to_rows``, which ``apply_element`` and the
+susceptibility engine in ``analysis`` share) or through their staircase
+gate decomposition; the two agree because every bundled generator has
+mutually commuting terms, which the test suite verifies against dense
+matrix exponentials.
 
 Depolarizing noise attaches to CNOT target qubits only. The gate-by-gate
 scheme applies the channel after every CNOT of the compiled circuit; the
@@ -38,7 +40,7 @@ DENSITY_LIMIT_HARD = 14
 # Norm/trace drift beyond this aborts instead of silently renormalizing.
 DRIFT_TOL = 1e-8
 # Peak live 4^n complex arrays of a density-matrix run, rounded up from the
-# 7.1 traced while apply_element updates a trial copy of a held state.
+# 5.1 traced (H4) beside a held state: a trial copy's element, pool gradients.
 DENSITY_PEAK_COPIES = 8
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -104,7 +106,7 @@ class QuantumState:
 
     def check_weight(self) -> "QuantumState":
         drift = abs(self.weight - 1.0)
-        if drift > DRIFT_TOL:
+        if not drift <= DRIFT_TOL:  # NaN fails too
             kind = "trace" if self.is_density else "norm"
             raise NumericIntegrityError(
                 f"state {kind} drifted by {drift:.3e}; renormalization is "
@@ -114,15 +116,15 @@ class QuantumState:
 
     def validate(self, atol: float = 1e-10) -> "QuantumState":
         """Full invariant check (norm/trace, Hermiticity, positivity)."""
-        if abs(self.weight - 1.0) > atol:
+        if not abs(self.weight - 1.0) <= atol:  # NaN fails too
             kind = "density trace" if self.is_density else "vector norm"
             raise NumericIntegrityError(f"{kind} {self.weight} != 1")
         if not self.is_density:
             return self
-        if np.abs(self.data - self.data.conj().T).max() > atol:
+        if not np.abs(self.data - self.data.conj().T).max() <= atol:
             raise NumericIntegrityError("density matrix is not Hermitian")
         min_eig = float(np.linalg.eigvalsh(self.data)[0])
-        if min_eig < -1e-9:
+        if not min_eig >= -1e-9:
             raise NumericIntegrityError(f"negative eigenvalue {min_eig:.3e}")
         return self
 
@@ -142,7 +144,7 @@ class GateOp:
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ConfigError(f"cnot needs two distinct qubits, got {self.qubits}")
         elif self.kind == "rot":
-            if len(self.qubits) != 1 or self.axis not in "XYZ":
+            if len(self.qubits) != 1 or self.axis not in ("X", "Y", "Z"):
                 raise ConfigError(f"bad rotation gate {self}")
         elif self.kind in ("h", "v", "vdg"):
             if len(self.qubits) != 1:
@@ -240,16 +242,6 @@ def _apply_1q_left(arr: np.ndarray, m: np.ndarray, qubit: int):
     shaped[:, 1, :] = m[1, 0] * x0 + m[1, 1] * x1
 
 
-def _apply_1q_right_dagger(arr: np.ndarray, m: np.ndarray, qubit: int):
-    """arr <- arr (M on qubit)+ along the second index, in place."""
-    low = 1 << qubit
-    shaped = arr.reshape(arr.shape[0], -1, 2, low)
-    x0 = shaped[:, :, 0, :].copy()
-    x1 = shaped[:, :, 1, :]
-    shaped[:, :, 0, :] = np.conj(m[0, 0]) * x0 + np.conj(m[0, 1]) * x1
-    shaped[:, :, 1, :] = np.conj(m[1, 0]) * x0 + np.conj(m[1, 1]) * x1
-
-
 def _cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << n_qubits)
     return idx ^ (((idx >> control) & 1) << target)
@@ -269,7 +261,8 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
     else:
         m = gate.matrix_1q()
         _apply_1q_left(state.data, m, gate.qubits[0])
-        _apply_1q_right_dagger(state.data, m, gate.qubits[0])
+        # the low n bits of rho's flat index are the bra (column) index
+        _apply_1q_left(state.data.reshape(-1), m.conj(), gate.qubits[0])
     return state
 
 
@@ -350,34 +343,21 @@ def apply_rotations_to_rows(rows: np.ndarray, rotations, scratch: np.ndarray):
 def apply_element(
     state: QuantumState, element: AnsatzElement, theta: float
 ) -> QuantumState:
-    """Exact evolution under exp(theta T), term by term.
+    """Exact evolution under U = exp(theta T) by ``apply_rotations_to_rows``.
 
-    A vector goes through ``apply_rotations_to_rows``; a density matrix
-    takes rho <- (c + i s P) rho (c - i s P) per term.
+    A vector is one row; a density matrix takes U on every column (the
+    rows of rho.T), then U* on every row: rho <- U rho U+.
     """
     if element.n_qubits != state.n_qubits:
         raise DimensionError(
             f"element on {element.n_qubits} qubits, state on {state.n_qubits}"
         )
-    if not state.is_density:
-        rotations = pauli_rotations(element.terms, theta)
-        apply_rotations_to_rows(state.data, rotations, np.empty_like(state.data))
-        return state
-    for ps, b in element.terms:
-        phi = b * theta
-        if phi == 0.0:
-            continue
-        c, s = math.cos(phi), math.sin(phi)
-        targets, phases = pauli_action(ps)
-        rho = state.data
-        p_rho = phases[targets][:, None] * rho[targets, :]
-        rho_p = phases[None, :] * rho[:, targets]
-        p_rho_p = phases[None, :] * p_rho[:, targets]
-        state.data = (
-            c * c * rho
-            + (1j * s * c) * (p_rho - rho_p)
-            + (s * s) * p_rho_p
-        )
+    rotations = pauli_rotations(element.terms, theta)
+    scratch = np.empty_like(state.data)
+    if state.is_density:
+        apply_rotations_to_rows(state.data.T, rotations, scratch.T)
+        rotations = [(t, c, phased.conj()) for t, c, phased in rotations]
+    apply_rotations_to_rows(state.data, rotations, scratch)
     return state
 
 
@@ -451,13 +431,15 @@ def apply_noisy_element(
 
 
 def check_circuit(ansatz: Ansatz, params, n_qubits: int | None = None):
-    """Float parameters (one per element) and register size (an empty
-    ansatz needs ``n_qubits``) of a circuit request."""
+    """Finite float parameters (one per element) and register size (an
+    empty ansatz needs ``n_qubits``) of a circuit request."""
     params = np.asarray(params, dtype=float)
     if params.shape != (ansatz.n_params,):
         raise DimensionError(
             f"{params.shape} parameters for {ansatz.n_params} elements"
         )
+    if not np.all(np.isfinite(params)):
+        raise ConfigError("circuit parameters must be finite")
     n = ansatz.n_qubits if ansatz.elements else n_qubits
     if n is None:
         raise ConfigError("empty ansatz needs an explicit n_qubits")

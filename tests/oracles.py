@@ -28,6 +28,15 @@ def kron_pauli(paulis: dict, n_qubits: int) -> np.ndarray:
     return m
 
 
+def random_density(n_qubits: int, seed: int) -> np.ndarray:
+    """A random full-rank density matrix: A A+ normalized to unit trace."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << n_qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 def qubit_operator_matrix(op) -> np.ndarray:
     """Dense matrix of a QubitOperator, term by term via kron_pauli."""
     dim = 1 << op.n_qubits

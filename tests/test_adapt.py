@@ -43,6 +43,8 @@ from vqenoise.simulator import (
     run_circuit,
 )
 
+from oracles import qubit_operator_matrix, random_density
+
 OPTIMIZERS = [nelder_mead, bfgs_minimize]
 
 
@@ -172,6 +174,19 @@ class TestPoolGradients:
             QuantumState(4, v).to_density(), h2.hamiltonian, pool
         )
         np.testing.assert_allclose(vec, den, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["fermionic", "qeb", "qubit_pauli"])
+    def test_mixed_state_matches_dense_commutator(self, h2, kind):
+        # the density branch uses rho = rho+; a full-rank rho tests that
+        # beyond pure states
+        rho = random_density(4, seed=31)
+        pool = build_pool(kind, 4, 2)
+        grads = pool_gradients(QuantumState(4, rho), h2.hamiltonian, pool)
+        h = qubit_operator_matrix(h2.hamiltonian)
+        for alpha, element in enumerate(pool.elements):
+            t = qubit_operator_matrix(element.generator)
+            oracle = np.trace(h @ (t @ rho - rho @ t)).real
+            assert grads[alpha] == pytest.approx(oracle, abs=1e-12)
 
     def test_noiseless_fd_route_agrees(self, h2):
         state = QuantumState.from_basis_index(3, 4)

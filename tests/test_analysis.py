@@ -250,6 +250,14 @@ class TestNoiseSusceptibility:
             assert abs(delta - residual - h2_report.chi * p) \
                 <= 0.2 * h2_report.chi * p
 
+    @pytest.mark.parametrize("scheme", ["gate_by_gate", "element_by_element"])
+    def test_non_finite_params_rejected(self, h2, qeb_h2, scheme):
+        ansatz, params, hf, _ = qeb_h2
+        bad = np.array(params, dtype=float)
+        bad[0] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            noise_susceptibility(ansatz, bad, h2.hamiltonian, hf, scheme=scheme)
+
     def test_fluctuations_within_spectral_range(self, h2, h2_report):
         lo = h2.spectrum.ground_energy - h2_report.e_unperturbed
         hi = h2.spectrum.max_energy - h2_report.e_unperturbed
@@ -402,6 +410,17 @@ class TestSweepNoise:
         with pytest.raises(ConfigError):
             sweep_noise([], h2.hamiltonian, [0.0],
                         record.reference_index, h2.fci_energy)
+
+    def test_non_finite_params_rejected(self, h2, h2_prefixes):
+        record, prefixes = h2_prefixes
+        length, ansatz, params = prefixes[-1]
+        bad = np.array(params, dtype=float)
+        bad[-1] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            sweep_noise(
+                [(length, ansatz, bad)], h2.hamiltonian, [0.0, 1e-3],
+                record.reference_index, h2.fci_energy, n_qubits=h2.n_qubits,
+            )
 
     def test_errors_carry_grid_context(self, h2, h2_prefixes):
         record, prefixes = h2_prefixes

@@ -415,6 +415,12 @@ class TestExpectation:
         with pytest.raises(NumericIntegrityError):
             expectation(op, plus)
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 2)])
+    def test_nan_state_rejected(self, shape):
+        op = QubitOperator.from_term(ps({0: "Z"}, 1))
+        with pytest.raises(NumericIntegrityError):
+            expectation(op, np.full(shape, np.nan, dtype=complex))
+
     def test_vector_and_density_agree(self):
         rng = np.random.default_rng(17)
         op = QubitOperator(

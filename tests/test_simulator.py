@@ -48,6 +48,7 @@ from oracles import (
     gate_unitary,
     kron_pauli,
     qubit_operator_matrix,
+    random_density,
 )
 
 
@@ -55,14 +56,6 @@ def random_vector(n_qubits, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return v / np.linalg.norm(v)
-
-
-def random_density(n_qubits, seed):
-    rng = np.random.default_rng(seed)
-    dim = 1 << n_qubits
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 def random_gates(n_qubits, n_gates, seed):
@@ -144,6 +137,16 @@ class TestQuantumState:
     def test_validate_accepts_mixed_state(self):
         QuantumState(2, np.eye(4) / 4).validate()
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 4)])
+    def test_check_weight_flags_nan(self, shape):
+        with pytest.raises(NumericIntegrityError):
+            QuantumState(2, np.full(shape, np.nan)).check_weight()
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4)])
+    def test_validate_rejects_nan(self, shape):
+        with pytest.raises(NumericIntegrityError):
+            QuantumState(2, np.full(shape, np.nan)).validate()
+
 
 class TestGateOp:
     def test_validation(self):
@@ -151,6 +154,9 @@ class TestGateOp:
             GateOp.cnot(1, 1)
         with pytest.raises(ConfigError):
             GateOp("rot", (0,), axis="Q")
+        for axis in ("", "XY", "YZ"):  # substrings of "XYZ" are no axis
+            with pytest.raises(ConfigError):
+                GateOp("rot", (0,), axis=axis)
         with pytest.raises(ConfigError):
             GateOp("h", (0, 1))
         with pytest.raises(ConfigError):
@@ -502,6 +508,13 @@ class TestRunCircuit:
         ansatz = build_uccsd(4, 2)
         with pytest.raises(DimensionError):
             run_circuit(3, ansatz, [0.1, 0.2])
+
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1e-3)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, noise, bad):
+        ansatz = build_uccsd(4, 2)
+        with pytest.raises(ConfigError, match="finite"):
+            run_circuit(3, ansatz, [0.1, bad, 0.3], noise=noise)
 
     def test_zero_probability_uses_vector_backend(self):
         ansatz = build_uccsd(4, 2)

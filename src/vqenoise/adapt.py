@@ -144,12 +144,6 @@ class AdaptRecord:
     def final_energy(self) -> float:
         return self.energies[-1]
 
-    @property
-    def final_params(self) -> np.ndarray:
-        if not self.iterations:
-            return np.zeros(0)
-        return np.array(self.iterations[-1].params)
-
 
 @dataclass(frozen=True)
 class OptimizeResult:
@@ -164,14 +158,14 @@ class OptimizeResult:
     n_gradients: int
 
 
-def central_gradient(fun, x, step: float = FD_STEP) -> np.ndarray:
+def central_gradient(fun, x) -> np.ndarray:
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)
     grad = np.zeros(x.size)
     for j in range(x.size):
         shift = np.zeros(x.size)
-        shift[j] = step
-        grad[j] = (fun(x + shift) - fun(x - shift)) / (2.0 * step)
+        shift[j] = FD_STEP
+        grad[j] = (fun(x + shift) - fun(x - shift)) / (2.0 * FD_STEP)
     return grad
 
 
@@ -189,13 +183,13 @@ def _counted(fun, what="objective"):
     return f
 
 
-def _counted_pair(fun, gradient, fd_step):
+def _counted_pair(fun, gradient):
     """Counted objective and gradient; without ``gradient``, central
     differences of the counted objective."""
     f = _counted(fun)
     if gradient is None:
         def gradient(point):
-            return central_gradient(f, point, fd_step)
+            return central_gradient(f, point)
     return f, _counted(gradient, "gradient")
 
 
@@ -259,14 +253,13 @@ def nelder_mead(
     grad_tol: float = GRAD_NORM_CUTOFF,
     simplex_offset: float = 0.05,
     max_restarts: int = 8,
-    fd_step: float = FD_STEP,
     gradient=None,
 ) -> OptimizeResult:
     """Derivative-free descent, restarted with a shrunk simplex until the
     gradient norm reaches ``grad_tol``. The gradient, used only for that
     check, is ``gradient(x)`` or else central differences."""
     x = np.asarray(x0, dtype=float).copy()
-    f, grad_f = _counted_pair(fun, gradient, fd_step)
+    f, grad_f = _counted_pair(fun, gradient)
     if x.size == 0:
         return _result(x, f(x), True, f, grad_f)
 
@@ -287,7 +280,6 @@ def bfgs_minimize(
     x0,
     grad_tol: float = GRAD_NORM_CUTOFF,
     max_iterations: int = 500,
-    fd_step: float = FD_STEP,
     armijo: float = 1e-4,
     curvature_tol: float = 1e-12,
     gradient=None,
@@ -299,7 +291,7 @@ def bfgs_minimize(
     curvature pair, and skips updates whenever y.s <= ``curvature_tol``.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, grad_f = _counted_pair(fun, gradient, fd_step)
+    f, grad_f = _counted_pair(fun, gradient)
     n = x.size
     if n == 0:
         return _result(x, f(x), True, f, grad_f)
@@ -468,7 +460,6 @@ def finite_difference_pool_gradients(
     h: QubitOperator,
     pool: Pool,
     noise: NoiseModel,
-    step: float = FD_STEP,
 ) -> np.ndarray:
     """dE/d(theta_new) at 0 per element, noise channels included.
 
@@ -481,11 +472,11 @@ def finite_difference_pool_gradients(
     grads = np.zeros(len(pool))
     for alpha, element in enumerate(pool.elements):
         energies = []
-        for theta in (step, -step):
+        for theta in (FD_STEP, -FD_STEP):
             trial = state.copy()
             apply_noisy_element(trial, element, theta, noise)
             energies.append(expectation(h, trial))
-        grads[alpha] = (energies[0] - energies[1]) / (2.0 * step)
+        grads[alpha] = (energies[0] - energies[1]) / (2.0 * FD_STEP)
     return grads
 
 

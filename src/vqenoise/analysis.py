@@ -283,23 +283,22 @@ def chi_from_density_derivative(
     h: QubitOperator,
     reference: int,
     scheme: str = "gate_by_gate",
-    step: float = DERIVATIVE_STEP,
     n_qubits: int | None = None,
 ) -> float:
     """dE/dp at p = 0 from symmetric density-matrix runs.
 
-    The twirl form of the channel is linear in p, so evaluating at -step
-    is a legitimate analytic continuation; this is the cross-check that
-    the pure-state susceptibility must reproduce.
+    The twirl form of the channel is linear in p, so evaluating at
+    p = -DERIVATIVE_STEP is a legitimate analytic continuation; this is the
+    cross-check that the pure-state susceptibility must reproduce.
     """
     params, n = check_circuit(ansatz, params, n_qubits)
     energies = []
-    for signed in (step, -step):
+    for signed in (DERIVATIVE_STEP, -DERIVATIVE_STEP):
         state = QuantumState.from_basis_index(reference, n, density=True)
         for element, theta in zip(ansatz.elements, params.tolist()):
             _element_with_raw_probability(state, element, theta, signed, scheme)
         energies.append(expectation(h, state))
-    return (energies[0] - energies[1]) / (2.0 * step)
+    return (energies[0] - energies[1]) / (2.0 * DERIVATIVE_STEP)
 
 
 def estimate_pc(
@@ -337,7 +336,6 @@ def sweep_noise(
     reference: int,
     fci_energy: float,
     scheme: str = "gate_by_gate",
-    multiplier: float = 1.0,
     n_qubits: int | None = None,
     dense_limit: int = DENSITY_LIMIT_DEFAULT,
     metadata: Mapping[str, object] | None = None,
@@ -360,7 +358,7 @@ def sweep_noise(
             try:
                 state = run_circuit(
                     reference, ansatz, params,
-                    noise=NoiseModel(p, scheme, multiplier),
+                    noise=NoiseModel(p, scheme),
                     n_qubits=n_qubits, dense_limit=dense_limit,
                 )
                 grid[row, column] = expectation(h, state) - fci_energy
@@ -368,7 +366,6 @@ def sweep_noise(
                 raise type(err)(f"p={p}, n={length}: {err}") from err
     table_metadata = dict(metadata or {})
     table_metadata.setdefault("scheme", scheme)
-    table_metadata.setdefault("multiplier", multiplier)
     return SweepTable(
         p_values=p_values,
         lengths=tuple(length for length, _, _ in prefixes),
@@ -390,7 +387,7 @@ def optimal_truncation(table: SweepTable) -> list[tuple[float, int, float]]:
     return out
 
 
-def zne_linear(e_at_p: float, e_at_mp: float, m: float = 3.0) -> float:
+def zne_linear(e_at_p: float, e_at_mp: float, m: float) -> float:
     """Linear zero-noise extrapolation from E(p) and E(m p)."""
     if m <= 1.0:
         raise ConfigError(f"noise multiplier m must exceed 1, got {m}")

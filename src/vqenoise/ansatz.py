@@ -15,7 +15,7 @@ evolution fast path and the staircase gate compiler.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .exceptions import ConfigError, DimensionError
 from .operators import (
@@ -70,7 +70,8 @@ def _staircase_schedule(
 
 @dataclass(frozen=True, eq=False)
 class AnsatzElement:
-    """One pool operator with its parameter slot and CNOT accounting.
+    """One pool operator with its term sequence and CNOT accounting, both
+    derived from the generator.
 
     ``cnot_schedule`` lists (qubit, count) pairs: how often each qubit is
     a CNOT target in the staircase decomposition of this element. The
@@ -80,17 +81,15 @@ class AnsatzElement:
 
     generator: QubitOperator
     label: str
-    cnot_schedule: tuple[tuple[int, int], ...] = ()
-    param_index: int = -1
-    terms: tuple[tuple[PauliString, float], ...] = field(repr=False, default=())
+    cnot_schedule: tuple[tuple[int, int], ...] = field(init=False)
+    terms: tuple[tuple[PauliString, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         seq = _term_sequence(self.generator)
         if not seq:
             raise ConfigError(f"element {self.label!r} has a zero generator")
         object.__setattr__(self, "terms", seq)
-        if not self.cnot_schedule:
-            object.__setattr__(self, "cnot_schedule", _staircase_schedule(seq))
+        object.__setattr__(self, "cnot_schedule", _staircase_schedule(seq))
 
     @property
     def n_qubits(self) -> int:
@@ -99,9 +98,6 @@ class AnsatzElement:
     @property
     def cnot_count(self) -> int:
         return sum(c for _, c in self.cnot_schedule)
-
-    def with_param_index(self, index: int) -> "AnsatzElement":
-        return replace(self, param_index=index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +129,6 @@ class Ansatz:
 
     elements: tuple[AnsatzElement, ...] = ()
 
-    def __post_init__(self):
-        for slot, e in enumerate(self.elements):
-            if e.param_index != slot:
-                raise ConfigError(
-                    f"element {slot} carries param_index {e.param_index}"
-                )
-
     @property
     def n_params(self) -> int:
         return len(self.elements)
@@ -151,8 +140,7 @@ class Ansatz:
         return self.elements[0].n_qubits
 
     def append(self, element: AnsatzElement) -> "Ansatz":
-        new = element.with_param_index(len(self.elements))
-        return Ansatz(self.elements + (new,))
+        return Ansatz(self.elements + (element,))
 
     def prefix(self, n: int) -> "Ansatz":
         if not 0 <= n <= len(self.elements):
@@ -163,10 +151,7 @@ class Ansatz:
 
     @classmethod
     def from_elements(cls, elements) -> "Ansatz":
-        out = cls()
-        for e in elements:
-            out = out.append(e)
-        return out
+        return cls(tuple(elements))
 
 
 def _check_counts(n_spin_orbitals: int, n_electrons: int):

@@ -94,10 +94,6 @@ class FrozenCoreSpec:
         object.__setattr__(self, "frozen_occupied", occ)
         object.__setattr__(self, "frozen_virtual", virt)
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.frozen_occupied or self.frozen_virtual)
-
 
 def _read_text(source) -> str:
     if hasattr(source, "read"):
@@ -365,12 +361,10 @@ class Problem:
         cls,
         ints: MolecularIntegrals,
         frozen: FrozenCoreSpec | None = None,
-        dense_limit: int = 14,
     ) -> "Problem":
         frozen = frozen or FrozenCoreSpec()
-        return cls.from_hamiltonian(
-            ints, frozen, build_hamiltonian(ints, frozen), dense_limit
-        )
+        built = build_hamiltonian(ints, frozen)
+        return cls.from_hamiltonian(ints, frozen, built)
 
     @classmethod
     def from_hamiltonian(
@@ -378,7 +372,6 @@ class Problem:
         ints: MolecularIntegrals,
         frozen: FrozenCoreSpec,
         built: tuple[FermionOperator, int, int, float],
-        dense_limit: int = 14,
     ) -> "Problem":
         """The problem whose ``build_hamiltonian(ints, frozen)`` output is
         ``built``; nothing is rebuilt."""
@@ -390,7 +383,7 @@ class Problem:
             )
         qubit_h = jordan_wigner(fermionic, n_so)
         qubit_h = qubit_h + QubitOperator.identity(n_so, shift)
-        spectrum = exact_spectrum(qubit_h, dense_limit=dense_limit)
+        spectrum = exact_spectrum(qubit_h)
         return cls(
             integrals=ints,
             frozen=frozen,
@@ -401,15 +394,6 @@ class Problem:
             core_energy=shift,
             spectrum=spectrum,
         )
-
-    @classmethod
-    def from_fcidump(
-        cls,
-        path,
-        frozen: FrozenCoreSpec | None = None,
-        dense_limit: int = 14,
-    ) -> "Problem":
-        return cls.from_integrals(load_fcidump(path), frozen, dense_limit)
 
 
 def data_path(name: str):
@@ -423,4 +407,4 @@ def data_path(name: str):
 
 def load_bundled(name: str, frozen: FrozenCoreSpec | None = None) -> Problem:
     with resources.as_file(data_path(name)) as path:
-        return Problem.from_fcidump(path, frozen)
+        return Problem.from_integrals(load_fcidump(path), frozen)

@@ -55,7 +55,6 @@ from .exceptions import (
 )
 from .simulator import (
     DENSITY_LIMIT_DEFAULT,
-    NOISELESS,
     NoiseModel,
     SCHEMES,
     cnot_count,
@@ -77,6 +76,9 @@ def _list_of(kind):
     return parse
 
 
+# Growth defaults are read from the library so the two cannot drift apart.
+_ADAPT_DEFAULTS = AdaptConfig()
+
 # key -> (default, parser). Parsers raise ValueError on bad input; the
 # offending key is attached by resolve_config.
 SCHEMA = {
@@ -85,15 +87,15 @@ SCHEMA = {
     "frozen_occupied": ((), _list_of(int)),
     "frozen_virtual": ((), _list_of(int)),
     "ansatz": ("adapt", str),
-    "pool": ("fermionic", str),
+    "pool": (_ADAPT_DEFAULTS.pool_kind, str),
     "k": (1, int),
-    "rule": ("gradient", str),
-    "subpool_size": (10, int),
-    "optimizer": ("bfgs", str),
-    "eps_opt": (1e-6, float),
-    "eps_halt": (1e-12, float),
-    "eps_truncation": (1e-4, float),
-    "max_iterations": (30, int),
+    "rule": (_ADAPT_DEFAULTS.rule, str),
+    "subpool_size": (_ADAPT_DEFAULTS.subpool_size, int),
+    "optimizer": (_ADAPT_DEFAULTS.optimizer, str),
+    "eps_opt": (_ADAPT_DEFAULTS.eps_opt, float),
+    "eps_halt": (_ADAPT_DEFAULTS.eps_halt, float),
+    "eps_truncation": (_ADAPT_DEFAULTS.eps_truncation, float),
+    "max_iterations": (_ADAPT_DEFAULTS.max_iterations, int),
     "growth_p": (0.0, float),
     "noise_scheme": ("gate_by_gate", str),
     "noise_multiplier": (1.0, float),
@@ -175,12 +177,17 @@ def _validate(config):
              "probability outside [0, 1]")
     _require(config["noise_multiplier"] > 0.0, "noise_multiplier",
              "must be positive")
+    # the probabilities that run are these values times noise_multiplier
+    _require(config["growth_p"] * config["noise_multiplier"] <= 1.0,
+             "growth_p", "growth_p x noise_multiplier exceeds 1")
     grid = config["p_grid"]
     _require(len(grid) > 0, "p_grid", "empty grid")
     _require(all(0.0 <= p <= 1.0 for p in grid), "p_grid",
              "probabilities outside [0, 1]")
     _require(all(b > a for a, b in zip(grid, grid[1:])), "p_grid",
              "must be strictly increasing")
+    _require(max(grid) * config["noise_multiplier"] <= 1.0, "p_grid",
+             "max(p_grid) x noise_multiplier exceeds 1")
     _require(config["zne_multiplier"] > 1.0, "zne_multiplier",
              "must exceed 1")
     _require(config["workers"] >= 0, "workers", "must be >= 0")
@@ -222,11 +229,8 @@ def load_problem(config):
 
 
 def _adapt_config(config):
-    if config["growth_p"] > 0.0:
-        noise = NoiseModel(config["growth_p"], config["noise_scheme"],
-                           config["noise_multiplier"])
-    else:
-        noise = NOISELESS
+    noise = NoiseModel(config["growth_p"] * config["noise_multiplier"],
+                       config["noise_scheme"])
     return AdaptConfig(
         pool_kind=config["pool"],
         rule=config["rule"],
@@ -372,21 +376,21 @@ def cmd_adapt(config, out):
 
 def _sweep_task(payload):
     """One grid probability across all prefixes (worker unit)."""
-    (prefixes, h, p, reference, fci, scheme, multiplier, n_qubits,
-     dense_limit) = payload
+    prefixes, h, p, reference, fci, scheme, n_qubits, dense_limit = payload
     table = sweep_noise(
         prefixes, h, [p], reference, fci, scheme=scheme,
-        multiplier=multiplier, n_qubits=n_qubits, dense_limit=dense_limit,
+        n_qubits=n_qubits, dense_limit=dense_limit,
     )
     return table.delta_e[0]
 
 
 def _run_grid(config, problem, prefixes, p_values, workers):
-    """Delta E rows for each p, deterministically ordered by grid index."""
+    """Delta E rows for each p (scaled by noise_multiplier),
+    deterministically ordered by grid index."""
     reference = hartree_fock_index(problem.n_electrons)
     tasks = [
-        (prefixes, problem.hamiltonian, p, reference, problem.fci_energy,
-         config["noise_scheme"], config["noise_multiplier"],
+        (prefixes, problem.hamiltonian, p * config["noise_multiplier"],
+         reference, problem.fci_energy, config["noise_scheme"],
          problem.n_qubits, config["dense_limit"])
         for p in p_values
     ]
@@ -453,14 +457,15 @@ def cmd_susceptibility(config, out):
 
 def cmd_zne(config, out):
     """Sweep with linear zero-noise extrapolation alongside raw values."""
-    problem = load_problem(config)
     m = config["zne_multiplier"]
     grid = config["p_grid"]
-    if m * max(grid) > 1.0:
+    amplified_max = m * max(grid) * config["noise_multiplier"]
+    if amplified_max > 1.0:
         raise ConfigError(
-            f"zne_multiplier: amplified probability {m * max(grid)} "
-            "exceeds 1; shrink p_grid or the multiplier"
+            f"zne_multiplier: amplified probability {amplified_max} exceeds "
+            "1; shrink p_grid, noise_multiplier or zne_multiplier"
         )
+    problem = load_problem(config)
     prefixes, _ = grow_circuits(config, problem)
     workers = _resolve_workers(config)
     raw = _run_grid(config, problem, prefixes, grid, workers)

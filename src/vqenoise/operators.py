@@ -256,10 +256,6 @@ class QubitOperator:
         return MappingProxyType(self._terms)
 
     @property
-    def n_terms(self) -> int:
-        return len(self._terms)
-
-    @property
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -193,35 +193,20 @@ SCHEMES = ("gate_by_gate", "element_by_element")
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gate-error probability, application scheme, and ZNE multiplier."""
+    """Per-CNOT depolarizing probability and its application scheme."""
 
     p: float
     scheme: str = "gate_by_gate"
-    multiplier: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"gate-error probability {self.p} outside [0, 1]")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown noise scheme {self.scheme!r}")
-        if self.multiplier <= 0:
-            raise ConfigError(f"noise multiplier {self.multiplier} must be positive")
-        if self.p * self.multiplier > 1.0 + 1e-12:
-            raise ConfigError(
-                f"effective probability p*multiplier = "
-                f"{self.p * self.multiplier} exceeds 1"
-            )
-
-    @property
-    def effective_p(self) -> float:
-        return self.p * self.multiplier
 
     @property
     def is_noisy(self) -> bool:
-        return self.effective_p > 0.0
-
-    def amplified(self, factor: float) -> "NoiseModel":
-        return NoiseModel(self.p, self.scheme, self.multiplier * factor)
+        return self.p > 0.0
 
 
 NOISELESS = NoiseModel(0.0)
@@ -425,7 +410,7 @@ def apply_noisy_element(
             "noisy element application needs the density backend"
         )
     _element_with_raw_probability(
-        state, element, theta, noise.effective_p, noise.scheme
+        state, element, theta, noise.p, noise.scheme
     )
     return state.check_weight()
 

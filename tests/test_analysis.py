@@ -390,11 +390,10 @@ class TestSweepNoise:
         record, prefixes = h2_prefixes
         table = sweep_noise(
             prefixes, h2.hamiltonian, [0.0], record.reference_index,
-            h2.fci_energy, scheme="element_by_element", multiplier=2.0,
+            h2.fci_energy, scheme="element_by_element",
             n_qubits=h2.n_qubits, metadata={"molecule": "h2_0.7414"},
         )
         assert table.metadata["scheme"] == "element_by_element"
-        assert table.metadata["multiplier"] == 2.0
         assert table.metadata["molecule"] == "h2_0.7414"
         with pytest.raises(TypeError):
             table.metadata["scheme"] = "other"

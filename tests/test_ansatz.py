@@ -25,6 +25,7 @@ from vqenoise.operators import (
     QubitOperator,
     jordan_wigner,
 )
+from vqenoise.simulator import compile_element
 
 from oracles import fermion_operator_matrix, kron_pauli, qubit_operator_matrix
 
@@ -110,11 +111,20 @@ class TestAnsatzElement:
             expected = 2 * sum(ps.weight - 1 for ps, _ in e.terms)
             assert e.cnot_count == expected, e.label
 
-    def test_with_param_index(self):
-        gen = QubitOperator.from_term(PauliString({0: "Y"}, 1), 1j)
-        e = AnsatzElement(generator=gen, label="t")
-        assert e.param_index == -1
-        assert e.with_param_index(3).param_index == 3
+    @pytest.mark.parametrize("derived", ["cnot_schedule", "terms"])
+    def test_derived_fields_are_not_arguments(self, derived):
+        gen = QubitOperator.from_term(PauliString({0: "X", 1: "Y"}, 2), 1j)
+        with pytest.raises(TypeError):
+            AnsatzElement(generator=gen, label="t", **{derived: ()})
+
+    @pytest.mark.parametrize("kind", ["fermionic", "qeb", "qubit_pauli"])
+    def test_schedule_matches_compiled_cnot_targets(self, kind):
+        # the staircase is encoded twice: the schedule here and the gates
+        # of simulator.compile_term; they must agree qubit by qubit
+        for e in build_pool(kind, 8, 4).elements:
+            targets = Counter(g.qubits[1] for g in compile_element(e, 0.3)
+                              if g.is_cnot)
+            assert dict(e.cnot_schedule) == targets, e.label
 
 
 class TestAnsatzContainer:
@@ -123,13 +133,11 @@ class TestAnsatzContainer:
         return AnsatzElement(generator=gen, label="t")
 
     def test_append_assigns_param_indices(self):
-        a = Ansatz().append(self._element()).append(self._element())
+        # parameter j belongs to elements[j]; append stores the object itself
+        first, second = self._element(), self._element()
+        a = Ansatz().append(first).append(second)
         assert a.n_params == 2
-        assert [e.param_index for e in a.elements] == [0, 1]
-
-    def test_constructor_rejects_bad_indices(self):
-        with pytest.raises(ConfigError):
-            Ansatz((self._element(),))
+        assert a.elements[0] is first and a.elements[1] is second
 
     def test_prefix(self):
         a = Ansatz.from_elements([self._element() for _ in range(3)])
@@ -319,8 +327,6 @@ class TestUccsd:
         assert ansatz.n_params == len(pool)
         assert [e.label for e in ansatz.elements] == \
             [e.label for e in pool.elements]
-        assert [e.param_index for e in ansatz.elements] == \
-            list(range(len(pool)))
 
     def test_singles_precede_doubles(self):
         labels = [e.label for e in build_uccsd(8, 4).elements]

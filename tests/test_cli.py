@@ -52,6 +52,10 @@ def read_csv(path):
     return digest, header, rows
 
 
+DEFAULT_CONFIG_HASH = \
+    "0ed8d32d3415f6991da53cc2ca869ff7483789a81b045dcf8f41d2c22fdb1c95"
+
+
 class TestConfigParsing:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -112,6 +116,19 @@ class TestConfigParsing:
         assert keys == sorted(keys)
         assert text == resolved_text(resolve_config({"pool": "qeb"}))
 
+    def test_default_config_hash_pinned(self):
+        # every output file's "# config_hash=" line depends on it
+        assert config_hash(resolve_config({})) == DEFAULT_CONFIG_HASH
+
+    @pytest.mark.parametrize("key,value", [
+        ("growth_p", "0.5"),
+        ("p_grid", "0,0.5"),
+    ])
+    def test_multiplied_probability_above_one_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config({key: value, "noise_multiplier": "3"})
+        resolve_config({key: value, "noise_multiplier": "2"})
+
     def test_hash_ignores_execution_placement(self):
         base = resolve_config({})
         moved = resolve_config({"workers": "8", "out": "elsewhere"})
@@ -148,6 +165,26 @@ class TestExitCodes:
             "susceptibility", "--set", "pool=qeb", "--out", str(tmp_path)
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("command,setting,key", [
+        ("adapt", "growth_p=0.5", "growth_p"),
+        ("sweep", "p_grid=0,0.5", "p_grid"),
+        ("zne", "p_grid=0,0.2", "zne_multiplier"),
+    ])
+    def test_multiplied_probability_checked_before_work(
+        self, tmp_path, capsys, monkeypatch, command, setting, key
+    ):
+        import vqenoise.cli as cli_module
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the probability check")
+
+        monkeypatch.setattr(cli_module, "load_problem", no_work)
+        monkeypatch.setattr(cli_module, "grow_circuits", no_work)
+        code = run_cli(command, "--set", setting,
+                       "--set", "noise_multiplier=3", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_register_too_large_exits_resource(self, tmp_path, capsys):
         code = run_cli(
@@ -274,6 +311,19 @@ class TestAdaptCommand:
             == [it.n_gradients for it in record.iterations]
         assert all(it.n_gradients > 0 for it in record.iterations)
 
+    def test_noise_multiplier_scales_growth_p(self, tmp_path, capsys):
+        # 5e-4 x 2 is exactly the double nearest 1e-3
+        iterations = []
+        for growth_p, multiplier in (("5e-4", "2"), ("1e-3", "1")):
+            out = tmp_path / growth_p
+            run_cli("adapt", "--set", "pool=qubit_pauli",
+                    "--set", f"growth_p={growth_p}",
+                    "--set", f"noise_multiplier={multiplier}",
+                    "--set", "max_iterations=2", "--out", str(out))
+            payload = json.loads((out / "adapt_record.json").read_text())
+            iterations.append(payload["iterations"])
+        assert iterations[0] and iterations[0] == iterations[1]
+
     def test_zero_iterations_reports_reference(self, tmp_path, capsys, h2):
         code = run_cli(
             "adapt", "--set", "max_iterations=0", "--out", str(tmp_path)
@@ -331,6 +381,21 @@ class TestSweepCommand:
         run_cli("sweep", *SWEEP_ARGS, "--workers", "2", "--out", str(out2))
         assert (out1 / "sweep.csv").read_bytes() == \
             (out2 / "sweep.csv").read_bytes()
+
+    def test_noise_multiplier_scales_grid(self, tmp_path, capsys):
+        # 2^-12 x 3 is exact, so both runs simulate the same probabilities
+        columns = []
+        for grid, multiplier in (("0,0.000244140625", "3"),
+                                 ("0,0.000732421875", "1")):
+            out = tmp_path / multiplier
+            run_cli("sweep", "--set", "pool=qeb", "--set", f"p_grid={grid}",
+                    "--set", f"noise_multiplier={multiplier}",
+                    "--workers", "1", "--out", str(out))
+            lines = (out / "sweep.csv").read_text().splitlines()[2:]
+            columns.append([line.split(",")[2] for line in lines])
+        assert columns[0] == columns[1]
+        half = len(columns[0]) // 2  # rows at p = 0, then at the nonzero p
+        assert columns[0][:half] != columns[0][half:]
 
     def test_fixed_ansatz_prefixes(self, tmp_path, capsys):
         out = tmp_path / "u"

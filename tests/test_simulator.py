@@ -330,17 +330,11 @@ class TestNoiseModel:
             NoiseModel(-0.1)
         with pytest.raises(ConfigError):
             NoiseModel(0.1, scheme="per_shot")
-        with pytest.raises(ConfigError):
-            NoiseModel(0.1, multiplier=0.0)
-        with pytest.raises(ConfigError):
-            NoiseModel(0.5, multiplier=3.0)
 
     def test_effective_probability(self):
         nm = NoiseModel(1e-3, "gate_by_gate")
         assert not NOISELESS.is_noisy
         assert nm.is_noisy
-        assert nm.amplified(3.0).effective_p == pytest.approx(3e-3, rel=1e-15)
-        assert nm.amplified(3.0).p == 1e-3
 
 
 class TestCompileElement:
@@ -578,14 +572,6 @@ class TestRunCircuit:
             apply_gate(s, GateOp.cnot(0, 1))
             apply_depolarizing(s, 1, p)
             assert expectation(z1, s) == pytest.approx(1 - 4 * p / 3)
-
-    def test_multiplier_amplifies_noise(self):
-        ansatz = build_uccsd(4, 2)
-        params = [0.1, -0.2, 0.3]
-        base = NoiseModel(1e-3, "gate_by_gate")
-        amp = run_circuit(3, ansatz, params, noise=base.amplified(3.0))
-        direct = run_circuit(3, ansatz, params, noise=NoiseModel(3e-3))
-        np.testing.assert_allclose(amp.data, direct.data, atol=1e-14)
 
     def test_density_limit_enforced(self):
         ansatz = build_uccsd(4, 2)

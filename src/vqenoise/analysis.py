@@ -168,7 +168,8 @@ def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
     cap = min(max([dim] + sizes), sum(sizes))
     chunk = max(1, (1 << 13) // dim)  # rows per gather: 128 KiB stays in cache
     block = np.empty((cap, dim), dtype=complex)
-    gathered = np.empty((chunk, dim), dtype=complex)
+    # the gathers' scratch, and the gate kernels' for one step's rows
+    gathered = np.empty((max([chunk] + sizes), dim), dtype=complex)
     paulis = {(q, sigma): pauli_action(PauliString({q: sigma}, n_qubits))
               for q in range(n_qubits) for sigma in SIGMAS}
     # one (qubit, index of its X row among all rows) per CNOT position
@@ -215,7 +216,7 @@ def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
         for gate in gates:
             apply_gate(state, gate)
             if used > start:
-                apply_gate_to_rows(block[start:used], gate)
+                apply_gate_to_rows(block[start:used], gate, gathered)
             if gate.is_cnot:
                 perturb(gate.qubits[1], 1)
     carry(block[:used], [], score=True)

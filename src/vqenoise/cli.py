@@ -385,21 +385,21 @@ def _sweep_task(payload):
 
 
 def _run_grid(config, problem, prefixes, p_values, workers):
-    """Delta E rows for each p (scaled by noise_multiplier),
-    deterministically ordered by grid index."""
+    """The probabilities that run (each p x noise_multiplier) and their
+    Delta E rows, deterministically ordered by grid index."""
     reference = hartree_fock_index(problem.n_electrons)
+    ran = [p * config["noise_multiplier"] for p in p_values]
     tasks = [
-        (prefixes, problem.hamiltonian, p * config["noise_multiplier"],
-         reference, problem.fci_energy, config["noise_scheme"],
-         problem.n_qubits, config["dense_limit"])
-        for p in p_values
+        (prefixes, problem.hamiltonian, p, reference, problem.fci_energy,
+         config["noise_scheme"], problem.n_qubits, config["dense_limit"])
+        for p in ran
     ]
     if workers == 1 or len(tasks) == 1:
         rows = [_sweep_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_task, tasks))
-    return np.array(rows)
+    return ran, np.array(rows)
 
 
 def _resolve_workers(config):
@@ -411,11 +411,12 @@ def cmd_sweep(config, out):
     problem = load_problem(config)
     prefixes, _ = grow_circuits(config, problem)
     workers = _resolve_workers(config)
-    delta_e = _run_grid(config, problem, prefixes, config["p_grid"], workers)
+    grid, delta_e = _run_grid(config, problem, prefixes, config["p_grid"],
+                              workers)
     digest = _emit_resolved(config, out)
     n_ii = [cnot_count(ansatz) for _, ansatz, _ in prefixes]
     rows = []
-    for i, p in enumerate(config["p_grid"]):
+    for i, p in enumerate(grid):
         for j, (n, _, _) in enumerate(prefixes):
             rows.append((float(p), n, float(delta_e[i, j]), n_ii[j],
                          config["noise_scheme"]))
@@ -468,13 +469,13 @@ def cmd_zne(config, out):
     problem = load_problem(config)
     prefixes, _ = grow_circuits(config, problem)
     workers = _resolve_workers(config)
-    raw = _run_grid(config, problem, prefixes, grid, workers)
-    amplified = _run_grid(config, problem, prefixes,
-                          [m * p for p in grid], workers)
+    ran, raw = _run_grid(config, problem, prefixes, grid, workers)
+    _, amplified = _run_grid(config, problem, prefixes,
+                             [m * p for p in grid], workers)
     digest = _emit_resolved(config, out)
     n_ii = [cnot_count(ansatz) for _, ansatz, _ in prefixes]
     rows = []
-    for i, p in enumerate(grid):
+    for i, p in enumerate(ran):
         for j, (n, _, _) in enumerate(prefixes):
             mitigated = zne_linear(float(raw[i, j]),
                                    float(amplified[i, j]), m)
@@ -493,10 +494,11 @@ def cmd_truncate_scan(config, out):
     problem = load_problem(config)
     prefixes, _ = grow_circuits(config, problem)
     workers = _resolve_workers(config)
-    delta_e = _run_grid(config, problem, prefixes, config["p_grid"], workers)
+    grid, delta_e = _run_grid(config, problem, prefixes, config["p_grid"],
+                              workers)
     digest = _emit_resolved(config, out)
     table = SweepTable(
-        p_values=tuple(float(p) for p in config["p_grid"]),
+        p_values=tuple(float(p) for p in grid),
         lengths=tuple(n for n, _, _ in prefixes),
         delta_e=delta_e,
     )

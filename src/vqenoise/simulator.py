@@ -3,8 +3,12 @@
 Noiseless and perturbation runs use a state-vector backend; noisy runs use
 a dense density matrix, which evolves through the same state-vector
 kernels: rho <- U rho U+ takes U on every column of rho and U* on every
-row. Ansatz elements evolve either exactly (each Pauli term of the
-generator applied as a cosine/sine rotation by the one kernel
+row. Gates and channels work in place on rho's flat index (row bits above
+column bits) through scratch the caller owns, bit-identical to the
+allocating forms the tests keep as oracles; a CNOT swaps the target-bit
+halves where the control bit is 1. Ansatz elements evolve either exactly
+(each Pauli term of the generator applied as a cosine/sine rotation by
+the one kernel
 ``apply_rotations_to_rows``, which ``apply_element`` and the
 susceptibility engine in ``analysis`` share) or through their staircase
 gate decomposition; the two agree because every bundled generator has
@@ -40,7 +44,7 @@ DENSITY_LIMIT_HARD = 14
 # Norm/trace drift beyond this aborts instead of silently renormalizing.
 DRIFT_TOL = 1e-8
 # Peak live 4^n complex arrays of a density-matrix run, rounded up from the
-# 5.1 traced (H4) beside a held state: a trial copy's element, pool gradients.
+# 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -54,7 +58,7 @@ class QuantumState:
     ``data`` attribute is the raw numpy array.
     """
 
-    __slots__ = ("n_qubits", "data")
+    __slots__ = ("n_qubits", "data", "_scratch")
 
     def __init__(self, n_qubits: int, data: np.ndarray):
         dim = 1 << n_qubits
@@ -66,6 +70,17 @@ class QuantumState:
             )
         self.n_qubits = n_qubits
         self.data = arr
+        self._scratch = None
+
+    def __reduce__(self):
+        return QuantumState, (self.n_qubits, self.data)
+
+    def scratch(self) -> np.ndarray:
+        """The kernels' flat work array of ``data.size`` entries, made on
+        first use; it is never copied or pickled."""
+        if self._scratch is None:
+            self._scratch = np.empty(self.data.size, dtype=complex)
+        return self._scratch
 
     @classmethod
     def from_basis_index(
@@ -212,24 +227,42 @@ class NoiseModel:
 NOISELESS = NoiseModel(0.0)
 
 
-def _apply_1q_left(arr: np.ndarray, m: np.ndarray, qubit: int):
-    """arr <- (M on qubit) arr along the first index, in place.
+def _apply_1q(flat: np.ndarray, m: np.ndarray, bit: int, scratch: np.ndarray):
+    """flat <- (M on index bit ``bit``) flat, in place, bit-identical to
+    m[i, 0] x0 + m[i, 1] x1 less its products by zero entries (Rz) and H's
+    repeated one. Products keep m first (x *= m swaps the operands, which
+    fused multiply-adds round differently) and, but for Rz, go to
+    contiguous scratch: strided ufunc outputs run slower."""
+    x0, x1 = flat.reshape(-1, 2, 1 << bit).transpose(1, 0, 2)
+    a, b = scratch[:flat.size].reshape(2, *x0.shape)
+    if m[0, 1] == 0 == m[1, 0]:  # Rz
+        np.multiply(m[0, 0], x0, out=x0)
+        np.multiply(m[1, 1], x1, out=x1)
+        return
+    np.multiply(m[0, 0], x0, out=a)
+    np.multiply(m[0, 1], x1, out=b)
+    if m[1, 0] == m[0, 0] and m[1, 1] == -m[0, 1]:  # H
+        np.add(a, b, out=x0)
+        np.subtract(a, b, out=x1)
+        return
+    a += b
+    np.multiply(m[1, 0], x0, out=b)
+    x0[...] = a
+    np.multiply(m[1, 1], x1, out=a)
+    b += a
+    x1[...] = b
 
-    Requires a C-contiguous array so the reshape is a view.
-    """
-    low = 1 << qubit
-    shaped = arr.reshape(-1, 2, low * (arr.size // arr.shape[0]))
-    # shaped[:, b, :] groups first-axis indices with qubit bit b, carrying
-    # lower bits and any trailing axes in the last dimension
-    x0 = shaped[:, 0, :].copy()
-    x1 = shaped[:, 1, :]
-    shaped[:, 0, :] = m[0, 0] * x0 + m[0, 1] * x1
-    shaped[:, 1, :] = m[1, 0] * x0 + m[1, 1] * x1
 
-
-def _cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    return idx ^ (((idx >> control) & 1) << target)
+def _apply_cnot(flat: np.ndarray, control: int, target: int, scratch: np.ndarray):
+    """CNOT on flat index bits, in place: swap the ``target`` halves
+    wherever ``control`` is 1."""
+    lo, hi = sorted((control, target))
+    v = flat.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    x0, x1 = (v[:, 1, :, t] if control > target else v[:, t, :, 1] for t in (0, 1))
+    held = scratch[:x0.size].reshape(x0.shape)
+    held[...] = x0
+    x0[...] = x1
+    x1[...] = held
 
 
 def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
@@ -238,42 +271,46 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
     for q in gate.qubits:
         if not 0 <= q < n:
             raise DimensionError(f"gate qubit {q} outside register of {n} qubits")
+    flat, scratch = state.data.reshape(-1), state.scratch()
     if not state.is_density:
-        apply_gate_to_rows(state.data[None], gate)
-    elif gate.is_cnot:
-        perm = _cnot_permutation(n, *gate.qubits)
-        state.data = np.ascontiguousarray(state.data[np.ix_(perm, perm)])
+        apply_gate_to_rows(flat, gate, scratch)
+    elif gate.is_cnot:  # rho's flat index is row << n | column
+        control, target = gate.qubits
+        _apply_cnot(flat, control + n, target + n, scratch)
+        _apply_cnot(flat, control, target, scratch)
     else:
-        m = gate.matrix_1q()
-        _apply_1q_left(state.data, m, gate.qubits[0])
-        # the low n bits of rho's flat index are the bra (column) index
-        _apply_1q_left(state.data.reshape(-1), m.conj(), gate.qubits[0])
+        m, q = gate.matrix_1q(), gate.qubits[0]
+        _apply_1q(flat, m, q + n, scratch)
+        _apply_1q(flat, m.conj(), q, scratch)
     return state
 
 
-def apply_gate_to_rows(rows: np.ndarray, gate: GateOp):
+def apply_gate_to_rows(rows: np.ndarray, gate: GateOp, scratch: np.ndarray):
     """Apply one gate in place to each row of a C-contiguous (k, 2^n) block
-    of state vectors."""
-    if gate.is_cnot:
-        n = rows.shape[1].bit_length() - 1
-        rows[...] = rows[:, _cnot_permutation(n, *gate.qubits)]
-    else:  # a row's qubit bits are the low bits of its flat indices
-        _apply_1q_left(rows.reshape(-1), gate.matrix_1q(), gate.qubits[0])
+    of state vectors, or to one vector, through a C-contiguous ``scratch``
+    of at least rows.size entries."""
+    flat, scratch = rows.reshape(-1), scratch.reshape(-1)
+    if gate.is_cnot:  # a row's qubit bits are the low bits of its flat indices
+        _apply_cnot(flat, *gate.qubits, scratch)
+    else:
+        _apply_1q(flat, gate.matrix_1q(), gate.qubits[0], scratch)
 
 
-def _depolarize_core(data: np.ndarray, n_qubits: int, qubit: int, p: float):
+def _depolarize_core(state: QuantumState, qubit: int, p: float):
     """Twirl-identity channel update without validation.
 
     Algebraically valid for any real p, which linear-response probes use
     to take symmetric derivatives at p = 0.
     """
     low = 1 << qubit
-    high = 1 << (n_qubits - qubit - 1)
-    r = data.reshape(high, 2, low, high, 2, low)
-    reduced = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
+    high = 1 << (state.n_qubits - qubit - 1)
+    r = state.data.reshape(high, 2, low, high, 2, low)
+    r00, r11 = r[:, 0, :, :, 0, :], r[:, 1, :, :, 1, :]
+    mixed = np.add(r00, r11, out=state.scratch()[:r00.size].reshape(r00.shape))
+    np.multiply(2.0 * p / 3.0, mixed, out=mixed)
     r *= 1.0 - 4.0 * p / 3.0
-    r[:, 0, :, :, 0, :] += (2.0 * p / 3.0) * reduced
-    r[:, 1, :, :, 1, :] += (2.0 * p / 3.0) * reduced
+    r00 += mixed
+    r11 += mixed
 
 
 def apply_depolarizing(state: QuantumState, qubit: int, p: float) -> QuantumState:
@@ -294,7 +331,7 @@ def apply_depolarizing(state: QuantumState, qubit: int, p: float) -> QuantumStat
         raise DimensionError(f"qubit {qubit} outside register of {n} qubits")
     if p == 0.0:
         return state
-    _depolarize_core(state.data, n, qubit, p)
+    _depolarize_core(state, qubit, p)
     return state
 
 
@@ -338,11 +375,15 @@ def apply_element(
             f"element on {element.n_qubits} qubits, state on {state.n_qubits}"
         )
     rotations = pauli_rotations(element.terms, theta)
-    scratch = np.empty_like(state.data)
+    data, scratch = state.data, state.scratch().reshape(state.data.shape)
     if state.is_density:
-        apply_rotations_to_rows(state.data.T, rotations, scratch.T)
+        for targets, c, phased in rotations:  # whole rows of rho at a time
+            data.take(targets, axis=0, out=scratch, mode="clip")
+            scratch *= phased[:, None]
+            data *= c
+            data += scratch
         rotations = [(t, c, phased.conj()) for t, c, phased in rotations]
-    apply_rotations_to_rows(state.data, rotations, scratch)
+    apply_rotations_to_rows(data, rotations, scratch)
     return state
 
 
@@ -386,12 +427,12 @@ def _element_with_raw_probability(
         for gate in compile_element(element, theta):
             apply_gate(state, gate)
             if gate.is_cnot:
-                _depolarize_core(state.data, state.n_qubits, gate.qubits[1], p)
+                _depolarize_core(state, gate.qubits[1], p)
     elif scheme == "element_by_element":
         apply_element(state, element, theta)
         for qubit, count in element.cnot_schedule:
             for _ in range(count):
-                _depolarize_core(state.data, state.n_qubits, qubit, p)
+                _depolarize_core(state, qubit, p)
     else:
         raise ConfigError(f"unknown noise scheme {scheme!r}")
 

@@ -259,3 +259,79 @@ def susceptibility_oracle(gates, slots, n_qubits, h_matrix, reference):
                 for sigma, shift in zip("XYZ", shifts)
             )
     return out
+
+
+# The allocating gate, channel and element kernels that ``simulator``'s
+# in-place ones replaced, kept verbatim: the in-place kernels must equal
+# them bit for bit (np.array_equal), not just to a tolerance.
+
+
+def _apply_1q_left(arr: np.ndarray, m: np.ndarray, qubit: int):
+    """arr <- (M on qubit) arr along the first index, in place.
+
+    Requires a C-contiguous array so the reshape is a view.
+    """
+    low = 1 << qubit
+    shaped = arr.reshape(-1, 2, low * (arr.size // arr.shape[0]))
+    # shaped[:, b, :] groups first-axis indices with qubit bit b, carrying
+    # lower bits and any trailing axes in the last dimension
+    x0 = shaped[:, 0, :].copy()
+    x1 = shaped[:, 1, :]
+    shaped[:, 0, :] = m[0, 0] * x0 + m[0, 1] * x1
+    shaped[:, 1, :] = m[1, 0] * x0 + m[1, 1] * x1
+
+
+def _cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
+    idx = np.arange(1 << n_qubits)
+    return idx ^ (((idx >> control) & 1) << target)
+
+
+def apply_gate_kernel_oracle(state, gate):
+    """Apply one gate in place: |psi> <- G|psi> or rho <- G rho G+."""
+    n = state.n_qubits
+    if not state.is_density:
+        apply_gate_to_rows_kernel_oracle(state.data[None], gate)
+    elif gate.is_cnot:
+        perm = _cnot_permutation(n, *gate.qubits)
+        state.data = np.ascontiguousarray(state.data[np.ix_(perm, perm)])
+    else:
+        m = gate.matrix_1q()
+        _apply_1q_left(state.data, m, gate.qubits[0])
+        # the low n bits of rho's flat index are the bra (column) index
+        _apply_1q_left(state.data.reshape(-1), m.conj(), gate.qubits[0])
+    return state
+
+
+def apply_gate_to_rows_kernel_oracle(rows: np.ndarray, gate):
+    """Apply one gate in place to each row of a C-contiguous (k, 2^n) block
+    of state vectors."""
+    if gate.is_cnot:
+        n = rows.shape[1].bit_length() - 1
+        rows[...] = rows[:, _cnot_permutation(n, *gate.qubits)]
+    else:  # a row's qubit bits are the low bits of its flat indices
+        _apply_1q_left(rows.reshape(-1), gate.matrix_1q(), gate.qubits[0])
+
+
+def depolarize_kernel_oracle(data: np.ndarray, n_qubits: int, qubit: int, p: float):
+    """Twirl-identity channel update without validation."""
+    low = 1 << qubit
+    high = 1 << (n_qubits - qubit - 1)
+    r = data.reshape(high, 2, low, high, 2, low)
+    reduced = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
+    r *= 1.0 - 4.0 * p / 3.0
+    r[:, 0, :, :, 0, :] += (2.0 * p / 3.0) * reduced
+    r[:, 1, :, :, 1, :] += (2.0 * p / 3.0) * reduced
+
+
+def apply_element_kernel_oracle(state, element, theta: float):
+    """Exact evolution under U = exp(theta T): U on every column (the rows
+    of rho.T), then U* on every row."""
+    from vqenoise.simulator import apply_rotations_to_rows, pauli_rotations
+
+    rotations = pauli_rotations(element.terms, theta)
+    scratch = np.empty_like(state.data)
+    if state.is_density:
+        apply_rotations_to_rows(state.data.T, rotations, scratch.T)
+        rotations = [(t, c, phased.conj()) for t, c, phased in rotations]
+    apply_rotations_to_rows(state.data, rotations, scratch)
+    return state

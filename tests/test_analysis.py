@@ -39,7 +39,13 @@ from vqenoise.simulator import (
     run_circuit,
 )
 
-from oracles import qubit_operator_matrix, susceptibility_oracle
+from oracles import (
+    apply_element_kernel_oracle,
+    apply_gate_kernel_oracle,
+    depolarize_kernel_oracle,
+    qubit_operator_matrix,
+    susceptibility_oracle,
+)
 
 
 def make_report(n_ii, delta_e, e_unperturbed=0.0):
@@ -364,6 +370,32 @@ def h2_prefixes(h2):
 
 
 class TestSweepNoise:
+    @pytest.mark.parametrize("scheme", ["gate_by_gate", "element_by_element"])
+    def test_bit_identical_to_allocating_kernels(
+        self, h2, h2_prefixes, scheme, monkeypatch
+    ):
+        import vqenoise.simulator as simulator_module
+
+        record, prefixes = h2_prefixes
+
+        def table():
+            return sweep_noise(
+                prefixes, h2.hamiltonian, [1e-4, 1e-2], record.reference_index,
+                h2.fci_energy, scheme=scheme, n_qubits=h2.n_qubits,
+            ).delta_e
+
+        fast = table()
+        monkeypatch.setattr(simulator_module, "apply_gate",
+                            apply_gate_kernel_oracle)
+        monkeypatch.setattr(simulator_module, "apply_element",
+                            apply_element_kernel_oracle)
+        monkeypatch.setattr(
+            simulator_module, "_depolarize_core",
+            lambda state, qubit, p: depolarize_kernel_oracle(
+                state.data, state.n_qubits, qubit, p),
+        )
+        assert np.array_equal(fast, table())
+
     def test_zero_column_matches_record(self, h2, h2_prefixes):
         record, prefixes = h2_prefixes
         table = sweep_noise(

@@ -338,6 +338,24 @@ class TestAdaptCommand:
 SWEEP_ARGS = ("--set", "pool=qeb", "--set", "p_grid=0,1e-4,1e-3")
 
 
+def assert_multiplier_scales_grid(tmp_path, command, filename):
+    """noise_multiplier=3 on p_grid=0,2^-12 writes the CSV that
+    p_grid=0,3x2^-12 writes: 2^-12 x 3 is exact, so both runs simulate the
+    same probabilities, and every column, p included, must match."""
+    tables = []
+    for grid, multiplier in (("0,0.000244140625", "3"),
+                             ("0,0.000732421875", "1")):
+        out = tmp_path / multiplier
+        run_cli(command, "--set", "pool=qeb", "--set", f"p_grid={grid}",
+                "--set", f"noise_multiplier={multiplier}",
+                "--workers", "1", "--out", str(out))
+        tables.append((out / filename).read_text().splitlines()[1:])
+    assert tables[0] == tables[1]
+    delta_e = [line.split(",")[2] for line in tables[0][1:]]
+    half = len(delta_e) // 2  # rows at p = 0, then at the nonzero p
+    assert delta_e[:half] != delta_e[half:]
+
+
 class TestSweepCommand:
     def test_csv_schema_and_zero_column(self, tmp_path, capsys, h2):
         out = tmp_path / "s"
@@ -383,19 +401,14 @@ class TestSweepCommand:
             (out2 / "sweep.csv").read_bytes()
 
     def test_noise_multiplier_scales_grid(self, tmp_path, capsys):
-        # 2^-12 x 3 is exact, so both runs simulate the same probabilities
-        columns = []
-        for grid, multiplier in (("0,0.000244140625", "3"),
-                                 ("0,0.000732421875", "1")):
-            out = tmp_path / multiplier
-            run_cli("sweep", "--set", "pool=qeb", "--set", f"p_grid={grid}",
-                    "--set", f"noise_multiplier={multiplier}",
-                    "--workers", "1", "--out", str(out))
-            lines = (out / "sweep.csv").read_text().splitlines()[2:]
-            columns.append([line.split(",")[2] for line in lines])
-        assert columns[0] == columns[1]
-        half = len(columns[0]) // 2  # rows at p = 0, then at the nonzero p
-        assert columns[0][:half] != columns[0][half:]
+        assert_multiplier_scales_grid(tmp_path, "sweep", "sweep.csv")
+
+    @pytest.mark.parametrize("command, filename", [
+        ("zne", "zne.csv"), ("truncate-scan", "truncate_scan.csv"),
+    ])
+    def test_noise_multiplier_scales_other_grids(self, tmp_path, capsys,
+                                                 command, filename):
+        assert_multiplier_scales_grid(tmp_path, command, filename)
 
     def test_fixed_ansatz_prefixes(self, tmp_path, capsys):
         out = tmp_path / "u"

@@ -29,10 +29,13 @@ from vqenoise.simulator import (
     GateOp,
     NoiseModel,
     QuantumState,
+    _apply_1q,
     _check_density_memory,
+    _depolarize_core,
     apply_depolarizing,
     apply_element,
     apply_gate,
+    apply_gate_to_rows,
     apply_rotations_to_rows,
     cnot_count,
     compile_circuit,
@@ -42,7 +45,12 @@ from vqenoise.simulator import (
 )
 
 from oracles import (
+    _apply_1q_left,
+    apply_element_kernel_oracle,
+    apply_gate_kernel_oracle,
+    apply_gate_to_rows_kernel_oracle,
     circuit_unitary,
+    depolarize_kernel_oracle,
     depolarizing_oracle,
     element_unitary_expm,
     gate_unitary,
@@ -584,6 +592,102 @@ class TestRunCircuit:
         with pytest.raises(ConfigError):
             run_circuit(3, ansatz, [0.1, 0.2, 0.3],
                         noise=NoiseModel(1e-3), dense_limit=20)
+
+
+def one_qubit_gates(qubit):
+    """Every single-qubit gate kind the compiler or a caller can emit."""
+    return [GateOp.hadamard(qubit), GateOp.v(qubit), GateOp.vdg(qubit)] + [
+        GateOp.rotation(axis, 0.7, qubit) for axis in "XYZ"
+    ]
+
+
+def kernel_inputs(n_qubits):
+    """A density matrix, a vector and a 3-row block (k not a power of 2)."""
+    rows = np.array([random_vector(n_qubits, seed) for seed in range(3)])
+    return {"density": random_density(n_qubits, seed=n_qubits),
+            "vector": random_vector(n_qubits, seed=n_qubits), "rows": rows}
+
+
+def assert_kernel_matches_oracle(data, n_qubits, gate):
+    """apply_gate (apply_gate_to_rows on a block) against the allocating
+    kernels it replaced, compared with np.array_equal."""
+    fast, slow = data.copy(), data.copy()
+    if data.ndim == 2 and data.shape[0] != data.shape[1]:
+        apply_gate_to_rows(fast, gate, np.empty_like(fast))
+        apply_gate_to_rows_kernel_oracle(slow, gate)
+    else:
+        fast = apply_gate(QuantumState(n_qubits, fast), gate).data
+        slow = apply_gate_kernel_oracle(QuantumState(n_qubits, slow), gate).data
+    assert np.array_equal(fast, slow), gate
+
+
+class TestKernelsBitIdentical:
+    """The in-place kernels give exactly the bits of the allocating ones
+    kept in ``oracles``; canonical benchmark outputs depend on it."""
+
+    @pytest.mark.parametrize("n_qubits", [4, 8])
+    @pytest.mark.parametrize("kind", ["density", "vector", "rows"])
+    def test_one_qubit_gates(self, n_qubits, kind):
+        data = kernel_inputs(n_qubits)[kind]
+        for qubit in range(n_qubits):
+            for gate in one_qubit_gates(qubit):
+                assert_kernel_matches_oracle(data, n_qubits, gate)
+
+    @pytest.mark.parametrize("n_qubits", [4, 8])
+    def test_each_side_of_rho(self, n_qubits):
+        # bit q + n is the row (ket) side, bit q the column (bra) side
+        rho = random_density(n_qubits, seed=1)
+        for bit in range(2 * n_qubits):
+            qubit = bit % n_qubits
+            for gate in one_qubit_gates(qubit):
+                for m in (gate.matrix_1q(), gate.matrix_1q().conj()):
+                    fast, slow = rho.copy(), rho.copy()
+                    _apply_1q(fast.reshape(-1), m, bit, np.empty(rho.size, complex))
+                    side = slow if bit >= n_qubits else slow.reshape(-1)
+                    _apply_1q_left(side, m, qubit)
+                    assert np.array_equal(fast, slow), (gate, bit)
+
+    @pytest.mark.parametrize("n_qubits", [4, 8])
+    @pytest.mark.parametrize("kind", ["density", "vector", "rows"])
+    def test_cnots_both_orders(self, n_qubits, kind):
+        data = kernel_inputs(n_qubits)[kind]
+        for control in range(n_qubits):
+            for target in range(n_qubits):
+                if control != target:
+                    assert_kernel_matches_oracle(
+                        data, n_qubits, GateOp.cnot(control, target)
+                    )
+
+    @pytest.mark.parametrize("n_qubits", [4, 8])
+    def test_depolarizing(self, n_qubits):
+        rho = random_density(n_qubits, seed=2)
+        for qubit in range(n_qubits):
+            for p in (1e-3, 0.123, -1e-6):  # negative: derivative probes
+                state = QuantumState(n_qubits, rho.copy())
+                _depolarize_core(state, qubit, p)
+                slow = rho.copy()
+                depolarize_kernel_oracle(slow, n_qubits, qubit, p)
+                assert np.array_equal(state.data, slow), (qubit, p)
+
+    @pytest.mark.parametrize("kind", ["density", "vector"])
+    def test_exact_elements(self, kind):
+        data = kernel_inputs(8)[kind]
+        for e in build_qeb_pool(8, 4).elements[::7]:
+            fast = apply_element(QuantumState(8, data.copy()), e, 0.3)
+            slow = apply_element_kernel_oracle(
+                QuantumState(8, data.copy()), e, 0.3
+            )
+            assert np.array_equal(fast.data, slow.data), e.label
+
+    def test_scratch_is_neither_copied_nor_pickled(self):
+        import pickle
+
+        s = QuantumState(2, random_density(2, seed=0))
+        apply_gate(s, GateOp.cnot(0, 1))
+        assert s.scratch().size == s.data.size
+        for twin in (s.copy(), pickle.loads(pickle.dumps(s))):
+            assert twin._scratch is None
+            np.testing.assert_array_equal(twin.data, s.data)
 
 
 class TestDensityMemoryGuard:

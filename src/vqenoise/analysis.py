@@ -5,12 +5,12 @@ energy to the per-CNOT depolarizing probability: insert one Pauli after
 one CNOT, finish the circuit, and average the energy fluctuations over
 the three Paulis and all CNOT positions (delta_E); then
 chi = delta_E x N_II with N_II the CNOT count. One batched engine serves
-both noise schemes: a single pure-state pass writes the perturbed states
-into row blocks of at most max(2^n, one element's rows) that cross later
-terms and elements by exact evolution, which costs O(rows x later
-elements) vectorised work instead of O(N_II x gates) Python gate calls.
-That exact evolution is ``simulator.apply_rotations_to_rows``, the kernel
-``apply_element`` also runs on a single state vector.
+both noise schemes: a step is Pauli rotations (a term or an element) with
+slots before and after them; a gate_by_gate slot's Pauli reaches its
+term's boundary through the Clifford gates around the Rz
+(``simulator.conjugate_masks``). One pure-state pass writes perturbed
+states into row blocks that cross later steps by exact evolution
+(``simulator.apply_rotations_to_rows``), and no gate is ever applied.
 
 Everything else here builds on that response: the maximally allowed gate
 error p_c for chemical accuracy, accuracy sweeps over (p, ansatz length),
@@ -37,21 +37,21 @@ from .operators import (
 )
 from .simulator import (
     DENSITY_LIMIT_DEFAULT,
-    GateOp,
     NoiseModel,
     QuantumState,
     _element_with_raw_probability,
-    apply_gate,
-    apply_gate_to_rows,
     apply_rotations_to_rows,
     check_circuit,
     compile_term,
+    conjugate_masks,
     pauli_rotations,
     run_circuit,
 )
 
 # Energy-accuracy target: chemical accuracy, in Hartree.
 CHEMICAL_ACCURACY = 1.6e-3
+# Relative bracket width at which the grid-crossing bisection stops.
+CROSSING_TOLERANCE = 0.05
 # Step for the density-matrix derivative cross-check of chi.
 DERIVATIVE_STEP = 1e-6
 
@@ -141,20 +141,33 @@ class ScalingFit:
     delta_e_max: float
 
 
+def _slot(qubit, count, gates=()):
+    """(qubit, count, masks of X, Y, Z on qubit moved through gates)."""
+    bit = 1 << qubit
+    return qubit, count, tuple(conjugate_masks(gates, x, z)
+                               for x, z in ((bit, 0), (bit, bit), (0, bit)))
+
+
+def _term_slots(term, theta):
+    """The slots of the term's CNOTs before its Rz, moved back onto the
+    state before the term, and after it, moved on to the state after."""
+    gates = compile_term(*term, theta)
+    middle = len(gates) // 2  # compile_term puts the Rz in the middle
+    slots = [_slot(gate.qubits[1], 1,
+                   gates[i::-1] if i < middle else gates[i + 1:])
+             for i, gate in enumerate(gates) if gate.is_cnot]
+    return slots[:len(slots) // 2], slots[len(slots) // 2:]
+
+
 def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
     """The batched engine behind both noise schemes.
 
-    ``steps`` walks the circuit as (rotations, gates, schedule), the
-    rotations from ``pauli_rotations``. With ``gates`` (gate_by_gate: one
-    step per Pauli term; a bare gate list is a single step without
-    rotations) the clean state advances gate by gate
-    and every CNOT is a slot. Without, it advances by the exact evolution
-    and each ``schedule`` entry (qubit, count) is a slot whose shifts
-    repeat ``count`` times (element_by_element). Each slot writes sigma psi
-    for X, Y, Z into a (k, 2^n) row block of at most max(2^n, one step's
-    rows). Rows finish their own step gate by gate, then cross later steps
-    by exact evolution; before a step that would overflow the block, the
-    block is carried to the end of the circuit, scored and dropped.
+    ``steps`` walks the circuit as (rotations, before, after): rotations
+    from ``pauli_rotations`` and ``_slot`` slots whose three strings P act
+    on the clean state before or after them, each shift repeated count
+    times. Every P psi is a row of a (k, 2^n) block of at most max(2^n,
+    one step's rows) that crosses later rotations; before a step that
+    would overflow it, the block is carried to the end, scored and dropped.
     """
     if h.n_qubits != n_qubits:
         raise DimensionError(
@@ -162,24 +175,20 @@ def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
         )
     dim = 1 << n_qubits
     state = QuantumState.from_basis_index(reference, n_qubits)
-    sizes = [3 * (len(schedule) if gates is None
-                  else sum(gate.is_cnot for gate in gates))
-             for _, gates, schedule in steps]
+    sizes = [3 * (len(before) + len(after)) for _, before, after in steps]
     cap = min(max([dim] + sizes), sum(sizes))
     chunk = max(1, (1 << 13) // dim)  # rows per gather: 128 KiB stays in cache
     block = np.empty((cap, dim), dtype=complex)
-    # the gathers' scratch, and the gate kernels' for one step's rows
-    gathered = np.empty((max([chunk] + sizes), dim), dtype=complex)
-    paulis = {(q, sigma): pauli_action(PauliString({q: sigma}, n_qubits))
-              for q in range(n_qubits) for sigma in SIGMAS}
+    gathered = np.empty((chunk, dim), dtype=complex)  # the gathers' scratch
     # one (qubit, index of its X row among all rows) per CNOT position
     positions, energies, used = [], [], 0
 
-    def perturb(qubit, count):
+    def perturb(qubit, count, masks):
         nonlocal used
         positions.extend([(qubit, len(energies) + used)] * count)
-        for sigma in SIGMAS:
-            targets, phases = paulis[qubit, sigma]
+        for x, z in masks:  # built per use: every slot's action held costs MBs
+            ps = PauliString.from_masks(x, z, n_qubits)
+            targets, phases = pauli_action(ps)
             np.multiply(phases[targets], state.data[targets], out=block[used])
             used += 1
 
@@ -200,25 +209,17 @@ def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
                     )
                 energies.extend(values.real.tolist())
 
-    for index, (rotations, gates, schedule) in enumerate(steps):
+    for index, (rotations, before, after) in enumerate(steps):
         if used + sizes[index] > cap:
             later = [rotation for step in steps[index:] for rotation in step[0]]
             carry(block[:used], later, score=True)
             used = 0
-        else:
-            carry(block[:used], rotations)
-        if gates is None:
-            carry(state.data[None], rotations)
-            for qubit, count in schedule:
-                perturb(qubit, count)
-            continue
-        start = used
-        for gate in gates:
-            apply_gate(state, gate)
-            if used > start:
-                apply_gate_to_rows(block[start:used], gate, gathered)
-            if gate.is_cnot:
-                perturb(gate.qubits[1], 1)
+        for slot in before:
+            perturb(*slot)
+        carry(block[:used], rotations)
+        carry(state.data[None], rotations)
+        for slot in after:
+            perturb(*slot)
     carry(block[:used], [], score=True)
     e_unperturbed = expectation(h, state)
 
@@ -237,20 +238,6 @@ def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
     )
 
 
-def gate_susceptibility(
-    gates: Sequence[GateOp],
-    n_qubits: int,
-    h: QubitOperator,
-    reference: int,
-) -> SusceptibilityReport:
-    """Susceptibility of an explicit gate list via pure-state runs.
-
-    The list is one step of the batched engine: one pure-state pass fills
-    a (3 N_II, 2^n) row block whose rows cross each later gate at once.
-    """
-    return _susceptibility([([], list(gates), None)], n_qubits, h, reference)
-
-
 def noise_susceptibility(
     ansatz: Ansatz,
     params,
@@ -262,17 +249,19 @@ def noise_susceptibility(
     """Linear noise response of an ansatz circuit at fixed parameters.
 
     The gate_by_gate scheme perturbs after every CNOT of the compiled
-    staircase; element_by_element perturbs at that scheme's channel
-    slots instead; both run through the one batched engine.
+    staircase, each slot moved to its Pauli term's boundary;
+    element_by_element perturbs at that scheme's channel slots after each
+    element instead; both run through the one batched engine.
     """
     params, n = check_circuit(ansatz, params, n_qubits)
     pairs = list(zip(ansatz.elements, params.tolist()))
     if scheme == "gate_by_gate":
-        steps = [(pauli_rotations([term], theta), compile_term(*term, theta), None)
+        steps = [(pauli_rotations([term], theta), *_term_slots(term, theta))
                  for element, theta in pairs for term in element.terms]
     elif scheme == "element_by_element":
-        steps = [(pauli_rotations(element.terms, theta), None,
-                  element.cnot_schedule) for element, theta in pairs]
+        steps = [(pauli_rotations(element.terms, theta), [],
+                  [_slot(q, count) for q, count in element.cnot_schedule])
+                 for element, theta in pairs]
     else:
         raise ConfigError(f"unknown noise scheme {scheme!r}")
     return _susceptibility(steps, n, h, reference)
@@ -436,16 +425,14 @@ def pc_scaling_fit(reports: Sequence[SusceptibilityReport]) -> ScalingFit:
 def sweep_crossing_pc(
     evaluate: Callable[[float], float],
     p_values: Sequence[float],
-    threshold: float = CHEMICAL_ACCURACY,
-    relative_tolerance: float = 0.05,
 ) -> float | None:
-    """Largest probability keeping Delta E within the threshold.
+    """Largest probability keeping Delta E within chemical accuracy.
 
     Scans the ascending grid for the last compliant point, then bisects
     in log space against the first non-compliant neighbour until the
-    bracket is tighter than the relative tolerance. Returns None when
-    even the smallest grid point violates the threshold, and the last
-    grid point when nothing violates it.
+    bracket is tighter than CROSSING_TOLERANCE. Returns None when even
+    the smallest grid point violates the target, and the last grid point
+    when nothing violates it.
     """
     p_values = [float(p) for p in p_values]
     if list(p_values) != sorted(p_values) or not p_values:
@@ -453,16 +440,16 @@ def sweep_crossing_pc(
     if any(p <= 0.0 for p in p_values):
         raise ConfigError("crossing search needs strictly positive p")
     values = [evaluate(p) for p in p_values]
-    compliant = [i for i, v in enumerate(values) if v <= threshold]
+    compliant = [i for i, v in enumerate(values) if v <= CHEMICAL_ACCURACY]
     if not compliant:
         return None
     last = compliant[-1]
     if last == len(p_values) - 1:
         return p_values[-1]
     low, high = p_values[last], p_values[last + 1]
-    while high / low > 1.0 + relative_tolerance:
+    while high / low > 1.0 + CROSSING_TOLERANCE:
         mid = sqrt(low * high)
-        if evaluate(mid) <= threshold:
+        if evaluate(mid) <= CHEMICAL_ACCURACY:
             low = mid
         else:
             high = mid

@@ -13,7 +13,8 @@ the one kernel
 susceptibility engine in ``analysis`` share) or through their staircase
 gate decomposition; the two agree because every bundled generator has
 mutually commuting terms, which the test suite verifies against dense
-matrix exponentials.
+matrix exponentials. ``conjugate_masks`` moves a Pauli string through
+the Clifford gates of a staircase (all but its Rz) on the string's masks.
 
 Depolarizing noise attaches to CNOT target qubits only. The gate-by-gate
 scheme applies the channel after every CNOT of the compiled circuit; the
@@ -271,29 +272,20 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
     for q in gate.qubits:
         if not 0 <= q < n:
             raise DimensionError(f"gate qubit {q} outside register of {n} qubits")
+    # a vector's qubit bits are its flat index; rho's is row << n | column
     flat, scratch = state.data.reshape(-1), state.scratch()
-    if not state.is_density:
-        apply_gate_to_rows(flat, gate, scratch)
-    elif gate.is_cnot:  # rho's flat index is row << n | column
+    if gate.is_cnot:
         control, target = gate.qubits
-        _apply_cnot(flat, control + n, target + n, scratch)
+        if state.is_density:
+            _apply_cnot(flat, control + n, target + n, scratch)
         _apply_cnot(flat, control, target, scratch)
     else:
         m, q = gate.matrix_1q(), gate.qubits[0]
-        _apply_1q(flat, m, q + n, scratch)
-        _apply_1q(flat, m.conj(), q, scratch)
+        if state.is_density:
+            _apply_1q(flat, m, q + n, scratch)
+            m = m.conj()
+        _apply_1q(flat, m, q, scratch)
     return state
-
-
-def apply_gate_to_rows(rows: np.ndarray, gate: GateOp, scratch: np.ndarray):
-    """Apply one gate in place to each row of a C-contiguous (k, 2^n) block
-    of state vectors, or to one vector, through a C-contiguous ``scratch``
-    of at least rows.size entries."""
-    flat, scratch = rows.reshape(-1), scratch.reshape(-1)
-    if gate.is_cnot:  # a row's qubit bits are the low bits of its flat indices
-        _apply_cnot(flat, *gate.qubits, scratch)
-    else:
-        _apply_1q(flat, gate.matrix_1q(), gate.qubits[0], scratch)
 
 
 def _depolarize_core(state: QuantumState, qubit: int, p: float):
@@ -411,6 +403,26 @@ def compile_term(ps: PauliString, b: float, theta: float) -> list[GateOp]:
     ]
     rotation = GateOp.rotation("Z", -2.0 * b * theta, support[-1])
     return pre + ladder + [rotation] + ladder[::-1] + post[::-1]
+
+
+def conjugate_masks(gates, x: int, z: int) -> tuple[int, int]:
+    """Masks of G P G+, up to sign, for P with masks (x, z) and G the
+    Clifford ``gates`` in order: H swaps the x and z bits, v and vdg do
+    x ^= z, CNOT(c, t) does x_t ^= x_c and z_c ^= z_t. Each map is an
+    involution, so the reversed gates give the masks of G+ P G."""
+    for gate in gates:
+        if gate.is_cnot:
+            control, target = gate.qubits
+            x ^= ((x >> control) & 1) << target
+            z ^= ((z >> target) & 1) << control
+        elif gate.kind == "h":
+            flip = (x ^ z) & (1 << gate.qubits[0])
+            x, z = x ^ flip, z ^ flip
+        elif gate.kind in ("v", "vdg"):
+            x ^= z & (1 << gate.qubits[0])
+        else:
+            raise ConfigError(f"{gate} is not a Clifford gate")
+    return x, z
 
 
 def compile_element(element: AnsatzElement, theta: float) -> list[GateOp]:

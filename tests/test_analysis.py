@@ -13,7 +13,6 @@ from vqenoise.analysis import (
     SweepTable,
     chi_from_density_derivative,
     estimate_pc,
-    gate_susceptibility,
     noise_susceptibility,
     optimal_truncation,
     pc_scaling_fit,
@@ -21,7 +20,9 @@ from vqenoise.analysis import (
     sweep_noise,
     zne_linear,
 )
-from vqenoise.ansatz import Ansatz, build_uccsd, hartree_fock_index
+from vqenoise.ansatz import (
+    Ansatz, AnsatzElement, build_pool, build_uccsd, hartree_fock_index,
+)
 from vqenoise.exceptions import (
     ConfigError,
     DimensionError,
@@ -29,7 +30,6 @@ from vqenoise.exceptions import (
 )
 from vqenoise.operators import PauliString, QubitOperator, expectation
 from vqenoise.simulator import (
-    GateOp,
     NoiseModel,
     QuantumState,
     apply_depolarizing,
@@ -107,44 +107,60 @@ class TestSusceptibilityReport:
             )
 
 
+def zz_circuit():
+    """One i Z0 Z1 element: CNOT(0, 1), Rz(-2 theta) on qubit 1, CNOT(0, 1)."""
+    gen = QubitOperator.from_term(PauliString({0: "Z", 1: "Z"}, 2), 1j)
+    return Ansatz.from_elements([AnsatzElement(generator=gen, label="zz")])
+
+
 class TestGateSusceptibility:
+    """gate_by_gate slots on the zz circuit at theta = 0, H = Z1, |00>."""
+
+    z1 = QubitOperator.from_term(PauliString({1: "Z"}, 2), 1.0)
+
     def test_single_cnot_hand_values(self):
-        # |00> with H = Z1: X and Y after the CNOT flip the target
-        # expectation to -1, Z leaves it alone
-        z1 = QubitOperator.from_term(PauliString({1: "Z"}, 2), 1.0)
-        report = gate_susceptibility([GateOp.cnot(0, 1)], 2, z1, 0)
-        assert report.n_ii == 1
+        # X and Y after either CNOT flip the target expectation to -1,
+        # Z leaves it alone
+        report = noise_susceptibility(zz_circuit(), [0.0], self.z1, 0)
+        assert report.n_ii == 2
         assert report.e_unperturbed == pytest.approx(1.0)
-        by_sigma = {s: f for _, _, s, f in report.fluctuations}
-        assert by_sigma == pytest.approx({"X": -2.0, "Y": -2.0, "Z": 0.0})
+        for position in (0, 1):
+            by_sigma = {s: f for r, _, s, f in report.fluctuations
+                        if r == position}
+            assert by_sigma == pytest.approx({"X": -2.0, "Y": -2.0, "Z": 0.0})
         assert report.delta_e == pytest.approx(-4.0 / 3.0)
-        assert report.chi == pytest.approx(-4.0 / 3.0)
+        assert report.chi == pytest.approx(-8.0 / 3.0)
 
     def test_hand_values_match_density_slope(self):
-        # the channel is linear in p here, so one secant gives the slope
-        z1 = QubitOperator.from_term(PauliString({1: "Z"}, 2), 1.0)
-        report = gate_susceptibility([GateOp.cnot(0, 1)], 2, z1, 0)
+        # two channels make E(p) quadratic in p: three points give the
+        # slope at p = 0 exactly
+        report = noise_susceptibility(zz_circuit(), [0.0], self.z1, 0)
+        step = 0.1
         energies = []
-        for p in (0.0, 0.1):
+        for p in (0.0, step, 2 * step):
             state = QuantumState.from_basis_index(0, 2, density=True)
-            apply_gate(state, GateOp.cnot(0, 1))
-            apply_depolarizing(state, 1, p)
-            energies.append(expectation(z1, state))
-        slope = (energies[1] - energies[0]) / 0.1
+            for gate in compile_element(zz_circuit().elements[0], 0.0):
+                apply_gate(state, gate)
+                if gate.is_cnot:
+                    apply_depolarizing(state, gate.qubits[1], p)
+            energies.append(expectation(self.z1, state))
+        slope = (-3 * energies[0] + 4 * energies[1] - energies[2]) / (2 * step)
         assert report.chi == pytest.approx(slope, abs=1e-12)
 
     def test_no_cnots_flagged(self):
         z0 = QubitOperator.from_term(PauliString({0: "Z"}, 1), 1.0)
-        report = gate_susceptibility([GateOp.hadamard(0)], 1, z0, 0)
+        gen = QubitOperator.from_term(PauliString({0: "X"}, 1), 1j)
+        x0 = Ansatz.from_elements([AnsatzElement(generator=gen, label="x")])
+        report = noise_susceptibility(x0, [np.pi / 4], z0, 0)
         assert report.chi == 0.0
         assert report.n_ii == 0
         assert not report.delta_e_defined
         assert report.e_unperturbed == pytest.approx(0.0)
 
     def test_register_mismatch(self):
-        z1 = QubitOperator.from_term(PauliString({1: "Z"}, 2), 1.0)
+        z1 = QubitOperator.from_term(PauliString({1: "Z"}, 3), 1.0)
         with pytest.raises(DimensionError):
-            gate_susceptibility([GateOp.cnot(0, 1)], 3, z1, 0)
+            noise_susceptibility(zz_circuit(), [0.0], z1, 0)
 
 
 def assert_matches_oracle(report, expected):
@@ -157,8 +173,17 @@ class TestEngineOracle:
     """The batched engine against dense-matrix replays of every slot."""
 
     @pytest.mark.parametrize("scheme", ["gate_by_gate", "element_by_element"])
-    def test_h2_qeb_matches_dense_oracle(self, h2, qeb_h2, scheme):
-        ansatz, params, hf, _ = qeb_h2
+    @pytest.mark.parametrize("pool", ["qeb", "fermionic", "qubit_pauli"])
+    def test_h2_pool_matches_dense_oracle(self, h2, pool, scheme):
+        # every element of the pool, optimized; the fermionic pool's
+        # strings carry Z-chains inside their support
+        ansatz = Ansatz.from_elements(
+            build_pool(pool, h2.n_qubits, h2.n_electrons).elements
+        )
+        hf = hartree_fock_index(h2.n_electrons)
+        params = optimize_parameters(
+            ansatz, np.zeros(ansatz.n_params), h2.hamiltonian, hf
+        ).x
         # the circuit twice over, so that both schemes fill several blocks
         doubled = Ansatz.from_elements(ansatz.elements * 2)
         thetas = np.concatenate([params, 0.5 - params])
@@ -196,37 +221,6 @@ class TestEngineOracle:
         )
         assert_matches_oracle(report, expected)
         assert report.n_ii == cnot_count(doubled)
-
-    def test_gate_list_matches_dense_oracle(self):
-        rng = np.random.default_rng(11)
-        n = 3
-        gates = []
-        for _ in range(40):
-            kind = rng.integers(5)
-            q = [int(v) for v in rng.permutation(n)[:2]]
-            if kind == 0:
-                gates.append(GateOp.cnot(*q))
-            elif kind == 1:
-                axis = "XYZ"[rng.integers(3)]
-                gates.append(GateOp.rotation(axis, rng.normal(), q[0]))
-            else:
-                name = ("hadamard", "v", "vdg")[kind - 2]
-                gates.append(getattr(GateOp, name)(q[0]))
-        h = QubitOperator(n, {
-            PauliString({0: "Z", 1: "X"}, n): 0.7,
-            PauliString({2: "Y"}, n): -0.3,
-            PauliString({1: "Z", 2: "Z"}, n): 0.2,
-        })
-        slots = [
-            (i, gate.qubits[1], 1)
-            for i, gate in enumerate(gates) if gate.is_cnot
-        ]
-        assert 3 * len(slots) > 2 ** n
-        report = gate_susceptibility(gates, n, h, 5)
-        expected = susceptibility_oracle(
-            gates, slots, n, qubit_operator_matrix(h), 5
-        )
-        assert_matches_oracle(report, expected)
 
 
 class TestNoiseSusceptibility:

@@ -35,11 +35,11 @@ from vqenoise.simulator import (
     apply_depolarizing,
     apply_element,
     apply_gate,
-    apply_gate_to_rows,
     apply_rotations_to_rows,
     cnot_count,
     compile_circuit,
     compile_element,
+    conjugate_masks,
     pauli_rotations,
     run_circuit,
 )
@@ -48,7 +48,6 @@ from oracles import (
     _apply_1q_left,
     apply_element_kernel_oracle,
     apply_gate_kernel_oracle,
-    apply_gate_to_rows_kernel_oracle,
     circuit_unitary,
     depolarize_kernel_oracle,
     depolarizing_oracle,
@@ -602,22 +601,16 @@ def one_qubit_gates(qubit):
 
 
 def kernel_inputs(n_qubits):
-    """A density matrix, a vector and a 3-row block (k not a power of 2)."""
-    rows = np.array([random_vector(n_qubits, seed) for seed in range(3)])
+    """A density matrix and a vector."""
     return {"density": random_density(n_qubits, seed=n_qubits),
-            "vector": random_vector(n_qubits, seed=n_qubits), "rows": rows}
+            "vector": random_vector(n_qubits, seed=n_qubits)}
 
 
 def assert_kernel_matches_oracle(data, n_qubits, gate):
-    """apply_gate (apply_gate_to_rows on a block) against the allocating
-    kernels it replaced, compared with np.array_equal."""
-    fast, slow = data.copy(), data.copy()
-    if data.ndim == 2 and data.shape[0] != data.shape[1]:
-        apply_gate_to_rows(fast, gate, np.empty_like(fast))
-        apply_gate_to_rows_kernel_oracle(slow, gate)
-    else:
-        fast = apply_gate(QuantumState(n_qubits, fast), gate).data
-        slow = apply_gate_kernel_oracle(QuantumState(n_qubits, slow), gate).data
+    """apply_gate against the allocating kernels it replaced, compared
+    with np.array_equal."""
+    fast = apply_gate(QuantumState(n_qubits, data.copy()), gate).data
+    slow = apply_gate_kernel_oracle(QuantumState(n_qubits, data.copy()), gate).data
     assert np.array_equal(fast, slow), gate
 
 
@@ -626,7 +619,7 @@ class TestKernelsBitIdentical:
     kept in ``oracles``; canonical benchmark outputs depend on it."""
 
     @pytest.mark.parametrize("n_qubits", [4, 8])
-    @pytest.mark.parametrize("kind", ["density", "vector", "rows"])
+    @pytest.mark.parametrize("kind", ["density", "vector"])
     def test_one_qubit_gates(self, n_qubits, kind):
         data = kernel_inputs(n_qubits)[kind]
         for qubit in range(n_qubits):
@@ -648,7 +641,7 @@ class TestKernelsBitIdentical:
                     assert np.array_equal(fast, slow), (gate, bit)
 
     @pytest.mark.parametrize("n_qubits", [4, 8])
-    @pytest.mark.parametrize("kind", ["density", "vector", "rows"])
+    @pytest.mark.parametrize("kind", ["density", "vector"])
     def test_cnots_both_orders(self, n_qubits, kind):
         data = kernel_inputs(n_qubits)[kind]
         for control in range(n_qubits):
@@ -688,6 +681,37 @@ class TestKernelsBitIdentical:
         for twin in (s.copy(), pickle.loads(pickle.dumps(s))):
             assert twin._scratch is None
             np.testing.assert_array_equal(twin.data, s.data)
+
+
+class TestConjugateMasks:
+    """conjugate_masks against dense G P G+ and G+ P G, up to sign."""
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_every_pauli_through_every_clifford(self, n_qubits):
+        gates = [g for q in range(n_qubits)
+                 for g in (GateOp.hadamard(q), GateOp.v(q), GateOp.vdg(q))]
+        gates += [GateOp.cnot(c, t) for c in range(n_qubits)
+                  for t in range(n_qubits) if c != t]
+        dim = 1 << n_qubits
+        for x in range(dim):
+            for z in range(dim):
+                p = kron_pauli(PauliString.from_masks(x, z, n_qubits).paulis,
+                               n_qubits)
+                for gate in gates:
+                    u = gate_unitary(gate, n_qubits)
+                    masks = conjugate_masks([gate], x, z)
+                    want = kron_pauli(
+                        PauliString.from_masks(*masks, n_qubits).paulis,
+                        n_qubits,
+                    )
+                    for got in (u @ p @ u.conj().T, u.conj().T @ p @ u):
+                        assert (np.allclose(got, want, atol=1e-12)
+                                or np.allclose(got, -want, atol=1e-12)), \
+                            (gate, x, z)
+
+    def test_rotation_refused(self):
+        with pytest.raises(ConfigError):
+            conjugate_masks([GateOp.rotation("Z", 0.3, 0)], 0, 1)
 
 
 class TestDensityMemoryGuard:

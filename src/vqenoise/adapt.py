@@ -38,6 +38,7 @@ from .simulator import (
     QuantumState,
     apply_noisy_element,
     apply_rotations_to_rows,
+    cnot_count,
     pauli_rotations,
     run_circuit,
 )
@@ -50,6 +51,19 @@ ENERGY_HALT = 1e-12
 TRUNCATION_TARGET = 1e-4
 # Central finite-difference step for all numerical gradients.
 FD_STEP = 1e-4
+# Nelder-Mead: the first simplex edge (shrunk 4x per restart), restarts
+# after the first descent, and a descent's stop: value and point spreads
+# within SIMPLEX_FTOL and SIMPLEX_XTOL, or SIMPLEX_STEPS_PER_PARAM x n steps.
+SIMPLEX_OFFSET = 0.05
+SIMPLEX_RESTARTS = 8
+SIMPLEX_FTOL = 1e-13
+SIMPLEX_XTOL = 1e-11
+SIMPLEX_STEPS_PER_PARAM = 400
+# BFGS: the iteration cap, the Armijo sufficient-decrease factor, and the
+# smallest curvature y.s that updates the inverse Hessian.
+BFGS_MAX_ITERATIONS = 500
+ARMIJO = 1e-4
+CURVATURE_TOL = 1e-12
 # Largest pool gradient below this magnitude means the pool is exhausted.
 STALL_TOL = 1e-9
 
@@ -197,11 +211,9 @@ def _result(x, energy, converged, f, grad) -> OptimizeResult:
     return OptimizeResult(x, energy, converged, f.evaluations, grad.evaluations)
 
 
-def _nelder_mead_core(f, x0, offset, ftol=1e-13, xtol=1e-11, max_iter=None):
+def _nelder_mead_core(f, x0, offset):
     """One simplex descent; returns (best point, best value)."""
     n = x0.size
-    if max_iter is None:
-        max_iter = 400 * n
     points = [x0.copy()]
     for j in range(n):
         p = x0.copy()
@@ -209,7 +221,7 @@ def _nelder_mead_core(f, x0, offset, ftol=1e-13, xtol=1e-11, max_iter=None):
         points.append(p)
     values = [f(p) for p in points]
 
-    for _ in range(max_iter):
+    for _ in range(SIMPLEX_STEPS_PER_PARAM * n):
         order = np.argsort(values, kind="stable")
         points = [points[i] for i in order]
         values = [values[i] for i in order]
@@ -217,7 +229,7 @@ def _nelder_mead_core(f, x0, offset, ftol=1e-13, xtol=1e-11, max_iter=None):
         spread_x = max(
             np.abs(p - points[0]).max() for p in points[1:]
         )
-        if spread_f <= ftol and spread_x <= xtol:
+        if spread_f <= SIMPLEX_FTOL and spread_x <= SIMPLEX_XTOL:
             break
         centroid = np.mean(points[:-1], axis=0)
         reflected = centroid + (centroid - points[-1])
@@ -251,8 +263,6 @@ def nelder_mead(
     fun,
     x0,
     grad_tol: float = GRAD_NORM_CUTOFF,
-    simplex_offset: float = 0.05,
-    max_restarts: int = 8,
     gradient=None,
 ) -> OptimizeResult:
     """Derivative-free descent, restarted with a shrunk simplex until the
@@ -263,10 +273,10 @@ def nelder_mead(
     if x.size == 0:
         return _result(x, f(x), True, f, grad_f)
 
-    offset = simplex_offset
+    offset = SIMPLEX_OFFSET
     best_value = f(x)
     converged = False
-    for _ in range(max_restarts + 1):
+    for _ in range(SIMPLEX_RESTARTS + 1):
         x, best_value = _nelder_mead_core(f, x, offset)
         if float(np.linalg.norm(grad_f(x))) <= grad_tol:
             converged = True
@@ -279,16 +289,13 @@ def bfgs_minimize(
     fun,
     x0,
     grad_tol: float = GRAD_NORM_CUTOFF,
-    max_iterations: int = 500,
-    armijo: float = 1e-4,
-    curvature_tol: float = 1e-12,
     gradient=None,
 ) -> OptimizeResult:
     """Quasi-Newton descent with ``gradient(x)``, or else central
     finite-difference gradients.
 
     The inverse Hessian starts at the identity, is rescaled on the first
-    curvature pair, and skips updates whenever y.s <= ``curvature_tol``.
+    curvature pair, and skips updates whenever y.s <= ``CURVATURE_TOL``.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, grad_f = _counted_pair(fun, gradient)
@@ -302,7 +309,7 @@ def bfgs_minimize(
     identity = np.eye(n)
     scaled = False
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(BFGS_MAX_ITERATIONS):
         if float(np.linalg.norm(grad)) <= grad_tol:
             converged = True
             break
@@ -319,7 +326,7 @@ def bfgs_minimize(
         while step >= 1e-14:
             candidate = x + step * direction
             f_candidate = f(candidate)
-            if f_candidate <= fx + armijo * step * slope:
+            if f_candidate <= fx + ARMIJO * step * slope:
                 x_new, f_new = candidate, f_candidate
                 break
             step *= 0.5
@@ -331,7 +338,7 @@ def bfgs_minimize(
         s = x_new - x
         y = grad_new - grad
         ys = float(y @ s)
-        if ys > curvature_tol:
+        if ys > CURVATURE_TOL:
             if not scaled:
                 h_inv = (ys / float(y @ y)) * identity
                 scaled = True
@@ -618,7 +625,7 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
             params=tuple(float(v) for v in params),
             energy=float(energy),
             gradients=tuple(float(g) for g in gradients),
-            cumulative_cnots=sum(e.cnot_count for e in ansatz.elements),
+            cumulative_cnots=cnot_count(ansatz),
             converged=bool(result.converged),
             n_evaluations=int(result.n_evaluations),
             n_gradients=int(result.n_gradients),

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -109,12 +108,12 @@ class PcEstimate:
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Energy accuracy Delta E on a (p, ansatz length) grid."""
+    """Energy accuracy Delta E on a (p, ansatz length) grid. Plain data
+    that pickles, so grid workers return their cells as one-row tables."""
 
     p_values: tuple[float, ...]
     lengths: tuple[int, ...]
     delta_e: np.ndarray
-    metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.p_values or not self.lengths:
@@ -127,7 +126,6 @@ class SweepTable:
                 f"{len(self.p_values)} probabilities x "
                 f"{len(self.lengths)} lengths"
             )
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
 
 @dataclass(frozen=True)
@@ -328,7 +326,6 @@ def sweep_noise(
     scheme: str = "gate_by_gate",
     n_qubits: int | None = None,
     dense_limit: int = DENSITY_LIMIT_DEFAULT,
-    metadata: Mapping[str, object] | None = None,
 ) -> SweepTable:
     """Delta E(p, n) over every circuit prefix and probability.
 
@@ -354,13 +351,10 @@ def sweep_noise(
                 grid[row, column] = expectation(h, state) - fci_energy
             except VqeNoiseError as err:
                 raise type(err)(f"p={p}, n={length}: {err}") from err
-    table_metadata = dict(metadata or {})
-    table_metadata.setdefault("scheme", scheme)
     return SweepTable(
         p_values=p_values,
         lengths=tuple(length for length, _, _ in prefixes),
         delta_e=grid,
-        metadata=table_metadata,
     )
 
 

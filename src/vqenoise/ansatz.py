@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .exceptions import ConfigError, DimensionError
 from .operators import (
-    COEFF_TOL,
     FermionOperator,
     PauliString,
     QubitOperator,
@@ -267,7 +266,7 @@ def build_qubit_pool(n_qubits: int, n_electrons: int = 0) -> Pool:
 POOL_BUILDERS = {
     "fermionic": build_fermionic_pool,
     "qeb": build_qeb_pool,
-    "qubit_pauli": lambda n_so, n_e: build_qubit_pool(n_so, n_e),
+    "qubit_pauli": build_qubit_pool,
 }
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable
 
 import numpy as np
 
@@ -41,8 +40,7 @@ class MolecularIntegrals:
     """Molecular integral tensors in the spatial-orbital MO basis.
 
     ``one_body[p, q]`` is h_pq and ``two_body[p, q, r, s]`` is (pq|rs) in
-    chemist notation. ``metadata`` keeps parsed-but-unused header entries
-    such as point-group labels.
+    chemist notation.
     """
 
     n_spatial_orbitals: int
@@ -51,7 +49,6 @@ class MolecularIntegrals:
     core_energy: float
     one_body: np.ndarray = field(repr=False)
     two_body: np.ndarray = field(repr=False)
-    metadata: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         n = self.n_spatial_orbitals
@@ -137,12 +134,12 @@ def parse_fcidump(source) -> MolecularIntegrals:
     header = " ".join(header_parts)
     header = _HEADER_END.sub(" ", header)
 
-    def header_int(key: str, required: bool, default: int = 0) -> int:
+    def header_int(key: str, required: bool) -> int:
         m = re.search(rf"\b{key}\s*=\s*(-?\d+)", header, re.IGNORECASE)
         if m is None:
             if required:
                 raise FcidumpError(f"header does not define {key}")
-            return default
+            return 0
         return int(m.group(1))
 
     norb = header_int("NORB", required=True)
@@ -153,22 +150,11 @@ def parse_fcidump(source) -> MolecularIntegrals:
     if nelec < 0 or nelec > 2 * norb:
         raise FcidumpError(f"NELEC={nelec} does not fit in NORB={norb}")
 
-    metadata: dict = {}
-    m = re.search(r"\bORBSYM\s*=\s*([\d,\s]+)", header, re.IGNORECASE)
-    if m:
-        metadata["orbsym"] = [
-            int(tok) for tok in m.group(1).replace(",", " ").split()
-        ]
-    m = re.search(r"\bISYM\s*=\s*(-?\d+)", header, re.IGNORECASE)
-    if m:
-        metadata["isym"] = int(m.group(1))
-
     h = np.zeros((norb, norb))
     g = np.zeros((norb, norb, norb, norb))
     core = 0.0
     seen_h: dict[tuple, tuple[float, int]] = {}
     seen_g: dict[tuple, tuple[float, int]] = {}
-    orbital_energies: dict[int, float] = {}
 
     for ln in range(data_start, len(lines) + 1):
         raw = lines[ln - 1]
@@ -198,8 +184,7 @@ def parse_fcidump(source) -> MolecularIntegrals:
         if p == q == r == s == 0:
             core = value
         elif p > 0 and q == r == s == 0:
-            # some emitters append orbital energies; kept as metadata
-            orbital_energies[p - 1] = value
+            pass  # an orbital energy, which some emitters append
         elif p > 0 and q > 0 and r == s == 0:
             key = (min(p, q) - 1, max(p, q) - 1)
             if key in seen_h and abs(seen_h[key][0] - value) > 1e-10:
@@ -230,8 +215,6 @@ def parse_fcidump(source) -> MolecularIntegrals:
                 "one-body, or two-body entry"
             )
 
-    if orbital_energies:
-        metadata["orbital_energies"] = orbital_energies
     return MolecularIntegrals(
         n_spatial_orbitals=norb,
         n_electrons=nelec,
@@ -239,7 +222,6 @@ def parse_fcidump(source) -> MolecularIntegrals:
         core_energy=core,
         one_body=h,
         two_body=g,
-        metadata=metadata,
     )
 
 

@@ -4,10 +4,13 @@ Subcommands run full pipelines (FCI reference, ADAPT growth, noise
 sweeps, susceptibility, extrapolation, truncation scans) from a single
 declarative key-value config, persist CSV/JSON artifacts into an output
 directory, and embed the resolved-config hash in every file so results
-are traceable and reproducible byte for byte.
+are traceable and reproducible byte for byte. sweep, zne and
+truncate-scan share one grid runner and one worker pool, so none of
+their CSVs depends on the worker count.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -374,51 +377,49 @@ def cmd_adapt(config, out):
     return EXIT_OK
 
 
-def _sweep_task(payload):
-    """One grid probability across all prefixes (worker unit)."""
-    prefixes, h, p, reference, fci, scheme, n_qubits, dense_limit = payload
-    table = sweep_noise(
-        prefixes, h, [p], reference, fci, scheme=scheme,
-        n_qubits=n_qubits, dense_limit=dense_limit,
+def run_grids(config, grids):
+    """The grown prefixes and one ``SweepTable`` per probability grid.
+
+    Every p of every grid runs as p x noise_multiplier over all prefixes,
+    in one worker pool (inline for one worker or one task) that returns
+    cells in submission order, so no table depends on the worker count.
+    """
+    problem = load_problem(config)
+    prefixes, _ = grow_circuits(config, problem)
+    task = functools.partial(
+        sweep_noise, prefixes, problem.hamiltonian,
+        reference=hartree_fock_index(problem.n_electrons),
+        fci_energy=problem.fci_energy, scheme=config["noise_scheme"],
+        n_qubits=problem.n_qubits, dense_limit=config["dense_limit"],
     )
-    return table.delta_e[0]
-
-
-def _run_grid(config, problem, prefixes, p_values, workers):
-    """The probabilities that run (each p x noise_multiplier) and their
-    Delta E rows, deterministically ordered by grid index."""
-    reference = hartree_fock_index(problem.n_electrons)
-    ran = [p * config["noise_multiplier"] for p in p_values]
-    tasks = [
-        (prefixes, problem.hamiltonian, p, reference, problem.fci_energy,
-         config["noise_scheme"], problem.n_qubits, config["dense_limit"])
-        for p in ran
-    ]
-    if workers == 1 or len(tasks) == 1:
-        rows = [_sweep_task(t) for t in tasks]
+    p_lists = [[p * config["noise_multiplier"]] for grid in grids
+               for p in grid]
+    workers = config["workers"] or os.cpu_count() or 1
+    if workers == 1 or len(p_lists) == 1:
+        cells = list(map(task, p_lists))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    return ran, np.array(rows)
-
-
-def _resolve_workers(config):
-    return config["workers"] or os.cpu_count() or 1
+            cells = list(pool.map(task, p_lists))
+    tables = []
+    for grid in grids:
+        rows, cells = cells[:len(grid)], cells[len(grid):]
+        tables.append(SweepTable(
+            p_values=tuple(row.p_values[0] for row in rows),
+            lengths=rows[0].lengths,
+            delta_e=np.array([row.delta_e[0] for row in rows]),
+        ))
+    return prefixes, tables
 
 
 def cmd_sweep(config, out):
     """Energy accuracy over the (p, circuit-depth) grid."""
-    problem = load_problem(config)
-    prefixes, _ = grow_circuits(config, problem)
-    workers = _resolve_workers(config)
-    grid, delta_e = _run_grid(config, problem, prefixes, config["p_grid"],
-                              workers)
+    prefixes, (table,) = run_grids(config, [config["p_grid"]])
     digest = _emit_resolved(config, out)
     n_ii = [cnot_count(ansatz) for _, ansatz, _ in prefixes]
     rows = []
-    for i, p in enumerate(grid):
-        for j, (n, _, _) in enumerate(prefixes):
-            rows.append((float(p), n, float(delta_e[i, j]), n_ii[j],
+    for i, p in enumerate(table.p_values):
+        for j, n in enumerate(table.lengths):
+            rows.append((p, n, float(table.delta_e[i, j]), n_ii[j],
                          config["noise_scheme"]))
     _write_csv(out / "sweep.csv", ("p", "n", "delta_E", "n_ii", "scheme"),
                rows, digest)
@@ -466,21 +467,17 @@ def cmd_zne(config, out):
             f"zne_multiplier: amplified probability {amplified_max} exceeds "
             "1; shrink p_grid, noise_multiplier or zne_multiplier"
         )
-    problem = load_problem(config)
-    prefixes, _ = grow_circuits(config, problem)
-    workers = _resolve_workers(config)
-    ran, raw = _run_grid(config, problem, prefixes, grid, workers)
-    _, amplified = _run_grid(config, problem, prefixes,
-                             [m * p for p in grid], workers)
+    prefixes, (raw, amplified) = run_grids(config,
+                                           [grid, [m * p for p in grid]])
     digest = _emit_resolved(config, out)
     n_ii = [cnot_count(ansatz) for _, ansatz, _ in prefixes]
     rows = []
-    for i, p in enumerate(ran):
-        for j, (n, _, _) in enumerate(prefixes):
-            mitigated = zne_linear(float(raw[i, j]),
-                                   float(amplified[i, j]), m)
-            rows.append((float(p), n, float(raw[i, j]), mitigated,
-                         n_ii[j], config["noise_scheme"]))
+    for i, p in enumerate(raw.p_values):
+        for j, n in enumerate(raw.lengths):
+            e_raw = float(raw.delta_e[i, j])
+            mitigated = zne_linear(e_raw, float(amplified.delta_e[i, j]), m)
+            rows.append((p, n, e_raw, mitigated, n_ii[j],
+                         config["noise_scheme"]))
     _write_csv(
         out / "zne.csv",
         ("p", "n", "delta_E", "delta_E_zne", "n_ii", "scheme"),
@@ -491,19 +488,9 @@ def cmd_zne(config, out):
 
 def cmd_truncate_scan(config, out):
     """Best truncation depth for each noise level."""
-    problem = load_problem(config)
-    prefixes, _ = grow_circuits(config, problem)
-    workers = _resolve_workers(config)
-    grid, delta_e = _run_grid(config, problem, prefixes, config["p_grid"],
-                              workers)
+    _, (table,) = run_grids(config, [config["p_grid"]])
     digest = _emit_resolved(config, out)
-    table = SweepTable(
-        p_values=tuple(float(p) for p in grid),
-        lengths=tuple(n for n, _, _ in prefixes),
-        delta_e=delta_e,
-    )
-    rows = [(float(p), n_opt, float(best))
-            for p, n_opt, best in optimal_truncation(table)]
+    rows = optimal_truncation(table)
     _write_csv(out / "truncate_scan.csv", ("p", "n_opt", "delta_E"),
                rows, digest)
     return EXIT_OK

@@ -44,6 +44,8 @@ DENSITY_LIMIT_DEFAULT = 12
 DENSITY_LIMIT_HARD = 14
 # Norm/trace drift beyond this aborts instead of silently renormalizing.
 DRIFT_TOL = 1e-8
+# ``QuantumState.validate``: norm/trace and Hermiticity tolerance.
+VALIDATE_TOL = 1e-10
 # Peak live 4^n complex arrays of a density-matrix run, rounded up from the
 # 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
@@ -130,14 +132,14 @@ class QuantumState:
             )
         return self
 
-    def validate(self, atol: float = 1e-10) -> "QuantumState":
+    def validate(self) -> "QuantumState":
         """Full invariant check (norm/trace, Hermiticity, positivity)."""
-        if not abs(self.weight - 1.0) <= atol:  # NaN fails too
+        if not abs(self.weight - 1.0) <= VALIDATE_TOL:  # NaN fails too
             kind = "density trace" if self.is_density else "vector norm"
             raise NumericIntegrityError(f"{kind} {self.weight} != 1")
         if not self.is_density:
             return self
-        if not np.abs(self.data - self.data.conj().T).max() <= atol:
+        if not np.abs(self.data - self.data.conj().T).max() <= VALIDATE_TOL:
             raise NumericIntegrityError("density matrix is not Hermitian")
         min_eig = float(np.linalg.eigvalsh(self.data)[0])
         if not min_eig >= -1e-9:

@@ -34,7 +34,6 @@ from vqenoise.analysis import (
     zne_linear,
 )
 from vqenoise.ansatz import build_pool
-from vqenoise.chem import load_bundled
 from vqenoise.cli import main as cli_main
 from vqenoise.operators import FermionOperator, expectation, jordan_wigner
 from vqenoise.simulator import (

@@ -1,5 +1,8 @@
 """Tests for susceptibility, p_c estimation, sweeps, and extrapolation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,6 @@ from vqenoise.adapt import AdaptConfig, adapt_run, optimize_parameters, \
     truncation_prefixes
 from vqenoise.analysis import (
     CHEMICAL_ACCURACY,
-    PcEstimate,
-    ScalingFit,
     SusceptibilityReport,
     SweepTable,
     chi_from_density_derivative,
@@ -412,17 +413,21 @@ class TestSweepNoise:
                 for a, b in zip(column_values, column_values[1:])
             )
 
-    def test_metadata_recorded_and_frozen(self, h2, h2_prefixes):
+    @pytest.mark.parametrize("clone", [
+        lambda table: pickle.loads(pickle.dumps(table)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_table_round_trips(self, h2, h2_prefixes, clone):
+        """Grid workers return their cells as tables across processes."""
         record, prefixes = h2_prefixes
         table = sweep_noise(
-            prefixes, h2.hamiltonian, [0.0], record.reference_index,
-            h2.fci_energy, scheme="element_by_element",
-            n_qubits=h2.n_qubits, metadata={"molecule": "h2_0.7414"},
+            prefixes, h2.hamiltonian, [0.0, 1e-3], record.reference_index,
+            h2.fci_energy, n_qubits=h2.n_qubits,
         )
-        assert table.metadata["scheme"] == "element_by_element"
-        assert table.metadata["molecule"] == "h2_0.7414"
-        with pytest.raises(TypeError):
-            table.metadata["scheme"] = "other"
+        twin = clone(table)
+        assert twin.p_values == table.p_values == (0.0, 1e-3)
+        assert twin.lengths == table.lengths
+        assert twin.delta_e.shape == table.delta_e.shape
+        assert twin.delta_e.tobytes() == table.delta_e.tobytes()
 
     def test_input_validation(self, h2, h2_prefixes):
         record, prefixes = h2_prefixes

@@ -10,7 +10,6 @@ from vqenoise.chem import (
     Problem,
     build_hamiltonian,
     data_path,
-    load_bundled,
     parse_fcidump,
 )
 from vqenoise.exceptions import ConfigError, FcidumpError
@@ -59,6 +58,19 @@ class TestParser:
         ints = parse_fcidump(text)
         assert ints.one_body[0, 0] == -1.0
         assert ints.ms2 == 0
+
+    def test_symmetry_labels_and_orbital_energies_ignored(self):
+        body = "0.3 1 2 1 1\n-1.0 1 1 0 0\n-0.4 2 2 0 0\n0.2 0 0 0 0\n"
+        plain = parse_fcidump("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n" + body)
+        labelled = parse_fcidump(
+            "&FCI NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,2,\n ISYM=1,\n&END\n"
+            + body + "-0.6 1 0 0 0\n0.1 2 0 0 0\n"
+        )
+        assert np.array_equal(labelled.one_body, plain.one_body)
+        assert np.array_equal(labelled.two_body, plain.two_body)
+        assert labelled.core_energy == plain.core_energy == 0.2
+        assert (labelled.n_spatial_orbitals, labelled.n_electrons,
+                labelled.ms2) == (2, 2, 0)
 
     def test_missing_norb_rejected(self):
         with pytest.raises(FcidumpError, match="NORB"):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vqenoise.analysis import SweepTable, optimal_truncation, zne_linear
 from vqenoise.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -336,6 +337,8 @@ class TestAdaptCommand:
 
 
 SWEEP_ARGS = ("--set", "pool=qeb", "--set", "p_grid=0,1e-4,1e-3")
+GRID_CSVS = [("sweep", "sweep.csv"), ("zne", "zne.csv"),
+             ("truncate-scan", "truncate_scan.csv")]
 
 
 def assert_multiplier_scales_grid(tmp_path, command, filename):
@@ -393,12 +396,15 @@ class TestSweepCommand:
             cell = line.split(",")[2]
             assert format(float(cell), ".17g") == cell
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, filename", GRID_CSVS)
+    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys,
+                                                command, filename):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        run_cli("sweep", *SWEEP_ARGS, "--workers", "1", "--out", str(out1))
-        run_cli("sweep", *SWEEP_ARGS, "--workers", "2", "--out", str(out2))
-        assert (out1 / "sweep.csv").read_bytes() == \
-            (out2 / "sweep.csv").read_bytes()
+        args = (*SWEEP_ARGS, "--set", "noise_multiplier=2")
+        run_cli(command, *args, "--workers", "1", "--out", str(out1))
+        run_cli(command, *args, "--workers", "2", "--out", str(out2))
+        assert (out1 / filename).read_bytes() == \
+            (out2 / filename).read_bytes()
 
     def test_noise_multiplier_scales_grid(self, tmp_path, capsys):
         assert_multiplier_scales_grid(tmp_path, "sweep", "sweep.csv")
@@ -460,10 +466,7 @@ class TestOptimizerConvergence:
         payload = json.loads((tmp_path / "b/susceptibility.json").read_text())
         assert payload["optimizer_converged"] is False
 
-    @pytest.mark.parametrize("command, csv", [
-        ("sweep", "sweep.csv"), ("zne", "zne.csv"),
-        ("truncate-scan", "truncate_scan.csv"),
-    ])
+    @pytest.mark.parametrize("command, csv", GRID_CSVS)
     def test_grid_commands_warn_with_unchanged_csv(
         self, tmp_path, capsys, monkeypatch, command, csv
     ):
@@ -525,6 +528,44 @@ class TestZneCommand:
         for r in deep:
             assert abs(r["delta_E_zne"]) < 0.1 * abs(r["delta_E"])
 
+    def test_one_pool_and_cells_match_sweeps_at_p_and_mp(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """zne's raw and amplified cells share one pool, and each lands in
+        its own column. 2^-12 and 2^-10 keep every m x p x multiplier
+        exact, so a sweep at multiplier 6 runs zne's amplified cells."""
+        import vqenoise.cli as cli_module
+
+        pools = []
+        real_pool = cli_module.ProcessPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", counted_pool)
+        grid = ("--set", "pool=qeb", "--set", "workers=2",
+                "--set", "p_grid=0,0.000244140625,0.0009765625")
+        cells = {}
+        for command, filename, multiplier in (("zne", "zne.csv", 2),
+                                              ("sweep", "sweep.csv", 2),
+                                              ("sweep", "sweep.csv", 6)):
+            out = tmp_path / f"{command}{multiplier}"
+            assert run_cli(command, *grid,
+                           "--set", f"noise_multiplier={multiplier}",
+                           "--out", str(out)) == EXIT_OK
+            cells[command, multiplier] = [
+                line.split(",")
+                for line in (out / filename).read_text().splitlines()[1:]
+            ]
+        assert len(pools) == 3  # one per command
+        zne, raw, amplified = (cells["zne", 2], cells["sweep", 2],
+                               cells["sweep", 6])
+        assert [z[:3] + z[4:] for z in zne] == raw
+        for z, r, a in zip(zne[1:], raw[1:], amplified[1:]):
+            mitigated = zne_linear(float(r[2]), float(a[2]), 3.0)
+            assert z[3] == format(mitigated, ".17g")
+
     def test_amplified_grid_must_stay_physical(self, tmp_path, capsys):
         code = run_cli(
             "zne", "--set", "p_grid=0.5", "--out", str(tmp_path)
@@ -534,6 +575,22 @@ class TestZneCommand:
 
 
 class TestTruncateScanCommand:
+    def test_rows_are_optimal_truncation_of_sweep(self, tmp_path, capsys):
+        for command in ("sweep", "truncate-scan"):
+            assert run_cli(command, *SWEEP_ARGS, "--set", "noise_multiplier=2",
+                           "--out", str(tmp_path / command)) == EXIT_OK
+        _, _, rows = read_csv(tmp_path / "sweep/sweep.csv")
+        p_values = sorted({r["p"] for r in rows})
+        table = SweepTable(
+            tuple(p_values), tuple(sorted({r["n"] for r in rows})),
+            np.array([[r["delta_E"] for r in rows if r["p"] == p]
+                      for p in p_values]),
+        )
+        expected = [f"{p:.17g},{n},{e:.17g}"
+                    for p, n, e in optimal_truncation(table)]
+        lines = (tmp_path / "truncate-scan/truncate_scan.csv").read_text()
+        assert lines.splitlines()[2:] == expected
+
     def test_depth_weakly_decreases_with_noise(self, tmp_path, capsys):
         out = tmp_path / "t"
         code = run_cli(

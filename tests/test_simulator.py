@@ -54,7 +54,6 @@ from oracles import (
     element_unitary_expm,
     gate_unitary,
     kron_pauli,
-    qubit_operator_matrix,
     random_density,
 )
 

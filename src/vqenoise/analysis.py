@@ -8,14 +8,16 @@ chi = delta_E x N_II with N_II the CNOT count. One batched engine serves
 both noise schemes: a step is Pauli rotations (a term or an element) with
 slots before and after them; a gate_by_gate slot's Pauli reaches its
 term's boundary through the Clifford gates around the Rz
-(``simulator.conjugate_masks``). One pure-state pass writes perturbed
+(``pauli_transfer.term_slots``). One pure-state pass writes perturbed
 states into row blocks that cross later steps by exact evolution
 (``simulator.apply_rotations_to_rows``), and no gate is ever applied.
 
 Everything else here builds on that response: the maximally allowed gate
 error p_c for chemical accuracy, accuracy sweeps over (p, ansatz length),
 optimal truncation, linear zero-noise extrapolation, and the scaling fit
-of p_c against circuit size.
+of p_c against circuit size. Noisy sweep cells and the density-derivative
+cross-check of chi run on Pauli-transfer coefficients
+(``pauli_transfer.noisy_energy``), whose terms use the same slots.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ from .operators import (
     IMAG_TOL, PauliString, QubitOperator, apply_operator, expectation,
     pauli_action,
 )
+from .pauli_transfer import channel_slot, noisy_energy, term_slots
 from .simulator import (
     DENSITY_LIMIT_DEFAULT,
-    NoiseModel,
+    SCHEMES,
     QuantumState,
-    _element_with_raw_probability,
     apply_rotations_to_rows,
     check_circuit,
-    compile_term,
-    conjugate_masks,
     pauli_rotations,
     run_circuit,
 )
@@ -139,29 +139,11 @@ class ScalingFit:
     delta_e_max: float
 
 
-def _slot(qubit, count, gates=()):
-    """(qubit, count, masks of X, Y, Z on qubit moved through gates)."""
-    bit = 1 << qubit
-    return qubit, count, tuple(conjugate_masks(gates, x, z)
-                               for x, z in ((bit, 0), (bit, bit), (0, bit)))
-
-
-def _term_slots(term, theta):
-    """The slots of the term's CNOTs before its Rz, moved back onto the
-    state before the term, and after it, moved on to the state after."""
-    gates = compile_term(*term, theta)
-    middle = len(gates) // 2  # compile_term puts the Rz in the middle
-    slots = [_slot(gate.qubits[1], 1,
-                   gates[i::-1] if i < middle else gates[i + 1:])
-             for i, gate in enumerate(gates) if gate.is_cnot]
-    return slots[:len(slots) // 2], slots[len(slots) // 2:]
-
-
 def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
     """The batched engine behind both noise schemes.
 
     ``steps`` walks the circuit as (rotations, before, after): rotations
-    from ``pauli_rotations`` and ``_slot`` slots whose three strings P act
+    from ``pauli_rotations`` and ``channel_slot`` slots whose three strings P act
     on the clean state before or after them, each shift repeated count
     times. Every P psi is a row of a (k, 2^n) block of at most max(2^n,
     one step's rows) that crosses later rotations; before a step that
@@ -254,11 +236,11 @@ def noise_susceptibility(
     params, n = check_circuit(ansatz, params, n_qubits)
     pairs = list(zip(ansatz.elements, params.tolist()))
     if scheme == "gate_by_gate":
-        steps = [(pauli_rotations([term], theta), *_term_slots(term, theta))
+        steps = [(pauli_rotations([term], theta), *term_slots(term[0]))
                  for element, theta in pairs for term in element.terms]
     elif scheme == "element_by_element":
         steps = [(pauli_rotations(element.terms, theta), [],
-                  [_slot(q, count) for q, count in element.cnot_schedule])
+                  [channel_slot(q, count) for q, count in element.cnot_schedule])
                  for element, theta in pairs]
     else:
         raise ConfigError(f"unknown noise scheme {scheme!r}")
@@ -273,20 +255,17 @@ def chi_from_density_derivative(
     scheme: str = "gate_by_gate",
     n_qubits: int | None = None,
 ) -> float:
-    """dE/dp at p = 0 from symmetric density-matrix runs.
+    """dE/dp at p = 0 from symmetric noisy runs (``noisy_energy``).
 
-    The twirl form of the channel is linear in p, so evaluating at
-    p = -DERIVATIVE_STEP is a legitimate analytic continuation; this is the
-    cross-check that the pure-state susceptibility must reproduce.
+    Each channel is linear in p, so evaluating at p = -DERIVATIVE_STEP is a
+    legitimate analytic continuation; this is the cross-check that the
+    pure-state susceptibility must reproduce.
     """
-    params, n = check_circuit(ansatz, params, n_qubits)
-    energies = []
-    for signed in (DERIVATIVE_STEP, -DERIVATIVE_STEP):
-        state = QuantumState.from_basis_index(reference, n, density=True)
-        for element, theta in zip(ansatz.elements, params.tolist()):
-            _element_with_raw_probability(state, element, theta, signed, scheme)
-        energies.append(expectation(h, state))
-    return (energies[0] - energies[1]) / (2.0 * DERIVATIVE_STEP)
+    plus, minus = (
+        noisy_energy(reference, ansatz, params, h, signed, scheme, n_qubits)
+        for signed in (DERIVATIVE_STEP, -DERIVATIVE_STEP)
+    )
+    return (plus - minus) / (2.0 * DERIVATIVE_STEP)
 
 
 def estimate_pc(
@@ -330,25 +309,34 @@ def sweep_noise(
     """Delta E(p, n) over every circuit prefix and probability.
 
     Grid cells are independent; this sequential reference implementation
-    fixes the cell semantics that parallel runners must reproduce.
+    fixes the cell semantics that parallel runners must reproduce. A p = 0
+    cell runs the state-vector backend; a p > 0 cell runs
+    ``noisy_energy`` on Pauli coefficients, which agrees with the dense
+    density-matrix run to rounding.
     """
     p_values = tuple(float(p) for p in p_values)
+    if not all(0.0 <= p <= 1.0 for p in p_values):  # NaN fails too
+        raise ConfigError("p_values must lie in [0, 1]")
     if list(p_values) != sorted(p_values):
         raise ConfigError("p_values must be sorted ascending")
-    if any(p < 0.0 or p > 1.0 for p in p_values):
-        raise ConfigError("p_values must lie in [0, 1]")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown noise scheme {scheme!r}")
     if not prefixes:
         raise ConfigError("no circuit prefixes to sweep")
     grid = np.zeros((len(p_values), len(prefixes)))
     for column, (length, ansatz, params) in enumerate(prefixes):
         for row, p in enumerate(p_values):
             try:
-                state = run_circuit(
-                    reference, ansatz, params,
-                    noise=NoiseModel(p, scheme),
-                    n_qubits=n_qubits, dense_limit=dense_limit,
-                )
-                grid[row, column] = expectation(h, state) - fci_energy
+                if p > 0.0:
+                    energy = noisy_energy(
+                        reference, ansatz, params, h, p, scheme,
+                        n_qubits=n_qubits, dense_limit=dense_limit,
+                    )
+                else:
+                    energy = expectation(h, run_circuit(
+                        reference, ansatz, params, n_qubits=n_qubits,
+                    ))
+                grid[row, column] = energy - fci_energy
             except VqeNoiseError as err:
                 raise type(err)(f"p={p}, n={length}: {err}") from err
     return SweepTable(

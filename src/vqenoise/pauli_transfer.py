@@ -1,0 +1,273 @@
+"""Noisy energies on Pauli-transfer coefficients, and the Clifford frame
+of staircase terms that they share with the susceptibility engine.
+
+A register state rho is held as its 4^n real coefficients
+r_k = Tr(P_k rho) on the Hermitian Pauli strings P_k = i^y X^x Z^z
+(y = |x & z|, ``PauliString``'s convention), at k = x | z << n
+(Greenbaum, arXiv:1509.02921; Rall et al., arXiv:1901.09070). There a
+depolarizing channel on qubit q is diagonal: it scales every r_R whose R
+is not the identity on q by lam = 1 - 4p/3. A term exp(i phi P) mixes
+each r_R whose R anticommutes with P with r_{R xor P}, through one
+gather. gate_by_gate puts a channel after every CNOT of a staircase term;
+moved through the term's Clifford gates to its boundary
+(``conjugate_masks``), each is a Pauli channel, still diagonal, so the
+whole term is diag(f_post) R_P(phi) diag(f_pre) with f = lam^e.
+
+``noisy_energy`` is the fast path of noisy Delta E grids; the dense
+density-matrix kernels of ``simulator`` stay the oracle it is tested
+against, and serve noisy ADAPT.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+from .ansatz import Ansatz
+from .exceptions import ConfigError, DimensionError, NumericIntegrityError
+from .operators import IMAG_TOL, PauliString, QubitOperator
+from .simulator import (
+    DENSITY_LIMIT_DEFAULT,
+    DRIFT_TOL,
+    PAULI_PEAK_BYTES,
+    SCHEMES,
+    check_circuit,
+    check_density_limit,
+    check_memory,
+    compile_term,
+)
+
+
+def conjugate_masks(gates, x: int, z: int) -> tuple[int, int]:
+    """Masks of G P G+, up to sign, for P with masks (x, z) and G the
+    Clifford ``gates`` in order: H swaps the x and z bits, v and vdg do
+    x ^= z, CNOT(c, t) does x_t ^= x_c and z_c ^= z_t. Each map is an
+    involution, so the reversed gates give the masks of G+ P G."""
+    for gate in gates:
+        if gate.is_cnot:
+            control, target = gate.qubits
+            x ^= ((x >> control) & 1) << target
+            z ^= ((z >> target) & 1) << control
+        elif gate.kind == "h":
+            flip = (x ^ z) & (1 << gate.qubits[0])
+            x, z = x ^ flip, z ^ flip
+        elif gate.kind in ("v", "vdg"):
+            x ^= z & (1 << gate.qubits[0])
+        else:
+            raise ConfigError(f"{gate} is not a Clifford gate")
+    return x, z
+
+
+def channel_slot(qubit: int, count: int, gates=()):
+    """(qubit, count, masks of X, Y and Z on ``qubit`` moved through
+    ``gates`` by ``conjugate_masks``): ``count`` depolarizing channels on
+    ``qubit``, seen from the far side of ``gates``."""
+    bit = 1 << qubit
+    return qubit, count, tuple(conjugate_masks(gates, x, z)
+                               for x, z in ((bit, 0), (bit, bit), (0, bit)))
+
+
+def term_slots(ps: PauliString):
+    """The channel slots of a staircase term's CNOTs: those before its Rz
+    moved back onto the state before the term, and those after it moved
+    on to the state after."""
+    return _term_slots(ps.x_mask, ps.z_mask, ps.n_qubits)
+
+
+@functools.lru_cache(maxsize=1024)
+def _term_slots(x_mask: int, z_mask: int, n_qubits: int):
+    """``term_slots``, kept per string for the next call (the Rz angle
+    plays no part); keyed on masks, so no string's stored action is held."""
+    gates = compile_term(PauliString.from_masks(x_mask, z_mask, n_qubits),
+                         1.0, 0.0)
+    middle = len(gates) // 2  # compile_term puts the Rz in the middle
+    slots = [channel_slot(gate.qubits[1], 1,
+                          gates[i::-1] if i < middle else gates[i + 1:])
+             for i, gate in enumerate(gates) if gate.is_cnot]
+    return slots[:len(slots) // 2], slots[len(slots) // 2:]
+
+
+def _pack(values, support: int):
+    """The bits of ``values`` (an int or an int array) on the ``support``
+    qubits, packed in qubit order into the low bits: their code there."""
+    qubits = [q for q in range(support.bit_length()) if support >> q & 1]
+    code = 0
+    for i, q in enumerate(qubits):
+        code = code | (values >> q & 1) << i
+    return code
+
+
+def _slot_bits(masks: np.ndarray, slots):
+    """Two bits per slot, split between a string's x and z masks: bit pair
+    j of ``cols[x] ^ rows[z]`` is nonzero when the string with masks (x, z)
+    fails to commute with slot j's moved X or moved Z, that is when the
+    slot's channel scales it. ``masks`` lists the candidate masks."""
+    moved = np.array([m for _, _, (mx, _, mz) in slots for m in (mx, mz)])
+    shifts = np.arange(len(moved))
+    cols, rows = (
+        ((np.bitwise_count(masks[:, None] & moved[:, side]) & 1).astype(np.intp)
+         << shifts).sum(axis=1)
+        for side in (1, 0)  # x meets the moved z mask, z the moved x mask
+    )
+    return cols, rows
+
+
+def _scaled(cols, rows):
+    """The number of slots that scale each string (rows z, columns x)."""
+    d = rows[:, None] ^ cols
+    d |= d >> 1
+    d &= 0x5555555555555555
+    return np.bitwise_count(d)
+
+
+def _term_factors(ps, phi, lam, pre, post, register):
+    """The term diag(f_post) R_P(phi) diag(f_pre) on Pauli coefficients:
+    r_R <- a_R r_R + b_R r_{R xor P} over the register's strings R (rows
+    z mask, columns x mask). a and b depend only on R's masks on P's
+    support, so they are built over those (the support's codes) and then
+    spread over the register (``register`` holds every mask). Each slot
+    of ``pre`` and ``post`` is one channel: f = lam^(slots that scale R)."""
+    xp, zp = ps.x_mask, ps.z_mask
+    support = xp | zp
+    masks = register[(register & ~support) == 0]  # by code on the support
+    count = np.bitwise_count
+    # i R P = i^e (R xor P) with e = 1 + y_R + y_P - y_(R xor P)
+    # + 2|z_R & x_P| mod 4 for strings i^y X^x Z^z (y = |x & z|); e is even
+    # exactly where R anticommutes with P. The uint8 counts wrap mod 256,
+    # which leaves e mod 4 alone.
+    e = count(masks[:, None] & masks)
+    e -= count((masks[:, None] ^ zp) & (masks ^ xp))
+    e += (1 + ps.y_count + 2 * count(masks & xp))[:, None]
+    e &= 3
+    cos, sin = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    a = np.array([cos, 1.0, cos, 1.0]).take(e)
+    b = np.array([sin, 0.0, -sin, 0.0]).take(e)
+    if pre:
+        powers = lam ** np.arange(len(pre) + len(post) + 1)
+        (pre_cols, pre_rows), (post_cols, post_rows) = (
+            _slot_bits(masks, slots) for slots in (pre, post))
+        post_cols, post_rows = (v << 2 * len(pre) for v in (post_cols, post_rows))
+        a *= powers.take(_scaled(pre_cols | post_cols, pre_rows | post_rows))
+        # b_R takes f_pre at R xor P: the pre slots read the partner's codes
+        index = np.arange(len(masks))
+        partner_cols = pre_cols[index ^ _pack(xp, support)]
+        partner_rows = pre_rows[index ^ _pack(zp, support)]
+        b *= powers.take(
+            _scaled(partner_cols | post_cols, partner_rows | post_rows))
+    if len(masks) == len(register):  # P spans the register: codes are masks
+        return a, b, None
+    return a, b, _pack(register, support)
+
+
+def _apply_term(r, partner, index, register, ps, phi, lam, pre, post):
+    """r <- diag(f_post) R_P(phi) diag(f_pre) r in place on the (rows z,
+    columns x) grid. ``partner`` and ``index`` are scratch: index holds
+    the gather's keys, then its bytes hold the factors spread over the
+    register."""
+    a, b, codes = _term_factors(ps, phi, lam, pre, post, register)
+    np.bitwise_or((register ^ ps.z_mask)[:, None] * len(register),
+                  register ^ ps.x_mask, out=index)
+    r.take(index, out=partner, mode="clip")  # indices are in range
+    for factors, target in ((b, partner), (a, r)):
+        if codes is not None:  # from P's support over the register
+            factors = np.take(factors[codes], codes, axis=1,
+                              out=index.view(np.float64), mode="clip")
+        target *= factors
+    r += partner
+
+
+def _apply_channels(r, partner, index, register, schedule, lam):
+    """``count`` channels on each scheduled (qubit, count), in place on the
+    (rows z, columns x) grid: r_R scales by lam to the channels on R's
+    support x | z. ``partner`` and ``index`` are scratch."""
+    e = np.zeros(len(register), dtype=np.intp)
+    for qubit, count in schedule:
+        e += count * (register >> qubit & 1)
+    np.bitwise_or(register[:, None], register, out=index)
+    r *= np.take(lam ** e, index, out=partner, mode="clip")
+
+
+def _check_coefficients(r: np.ndarray, n_qubits: int, physical: bool):
+    """Corruption checks on Pauli coefficients, which hold r_I = 1 by
+    construction, so trace drift cannot show: every r is finite and, for a
+    physical run, |r| <= 1 and the purity sum r^2 / 2^n <= 1, each within
+    DRIFT_TOL."""
+    largest = float(max(r.max(), -r.min()))  # NaN propagates through both
+    if not math.isfinite(largest):
+        raise NumericIntegrityError("a Pauli coefficient is not finite")
+    if not physical:
+        return
+    if not largest <= 1.0 + DRIFT_TOL:
+        raise NumericIntegrityError(
+            f"Pauli coefficient of magnitude {largest!r} exceeds 1"
+        )
+    purity = float(r @ r) / (1 << n_qubits)
+    if not purity <= 1.0 + DRIFT_TOL:
+        raise NumericIntegrityError(f"purity {purity!r} exceeds 1")
+
+
+def noisy_energy(
+    initial: int,
+    ansatz: Ansatz,
+    params,
+    h: QubitOperator,
+    p: float,
+    scheme: str = "gate_by_gate",
+    n_qubits: int | None = None,
+    dense_limit: int = DENSITY_LIMIT_DEFAULT,
+) -> float:
+    """Tr(H rho) after the reference determinant runs through the ansatz
+    under per-CNOT depolarizing probability ``p``, on Pauli coefficients.
+
+    The determinant sets r = +-1 on the Z strings and the energy is
+    sum_P h_P r_P. gate_by_gate runs each term as diag(f_post) R_P
+    diag(f_pre), its channels moved to its boundary (``term_slots``);
+    element_by_element runs the element's terms exactly, then scales each
+    r_R by lam to the element's scheduled channels on R's support. Equals
+    ``expectation`` of the ``run_circuit`` density matrix up to rounding.
+
+    Any finite p runs: outside [0, 1] (the derivative probes of
+    ``analysis.chi_from_density_derivative``) the map is not physical and
+    only finiteness is checked.
+    """
+    if not math.isfinite(p):
+        raise ConfigError(f"gate-error probability {p} is not finite")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown noise scheme {scheme!r}")
+    params, n = check_circuit(ansatz, params, n_qubits)
+    if h.n_qubits != n:
+        raise DimensionError(
+            f"hamiltonian on {h.n_qubits} qubits, circuit on {n}"
+        )
+    dim = 1 << n
+    if not 0 <= initial < dim:
+        raise DimensionError(
+            f"basis index {initial} outside register of {n} qubits"
+        )
+    check_density_limit(n, dense_limit)
+    check_memory(n, PAULI_PEAK_BYTES)
+    lam = 1.0 - 4.0 * p / 3.0
+    register = np.arange(dim)
+    # r[z, x] = r_k: rows z mask, columns x mask
+    r, partner = np.zeros((dim, dim)), np.empty((dim, dim))
+    index = np.empty((dim, dim), dtype=np.intp)
+    r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(register & initial) & 1)
+    for element, theta in zip(ansatz.elements, params.tolist()):
+        for ps, coeff in element.terms:
+            slots = term_slots(ps) if scheme == "gate_by_gate" else ((), ())
+            _apply_term(r, partner, index, register, ps, coeff * theta, lam,
+                        *slots)
+        if scheme == "element_by_element":
+            _apply_channels(r, partner, index, register,
+                            element.cnot_schedule, lam)
+    r = r.reshape(-1)
+    _check_coefficients(r, n, 0.0 <= p <= 1.0)
+    strings = [ps.x_mask | ps.z_mask << n for ps in h.terms]
+    value = complex(np.fromiter(h.terms.values(), complex) @ r[strings])
+    if not abs(value.imag) <= IMAG_TOL:
+        raise NumericIntegrityError(
+            f"energy {value:.3e} has an imaginary residue"
+        )
+    return value.real

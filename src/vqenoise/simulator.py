@@ -13,13 +13,15 @@ the one kernel
 susceptibility engine in ``analysis`` share) or through their staircase
 gate decomposition; the two agree because every bundled generator has
 mutually commuting terms, which the test suite verifies against dense
-matrix exponentials. ``conjugate_masks`` moves a Pauli string through
-the Clifford gates of a staircase (all but its Rz) on the string's masks.
+matrix exponentials.
 
 Depolarizing noise attaches to CNOT target qubits only. The gate-by-gate
 scheme applies the channel after every CNOT of the compiled circuit; the
 element-by-element scheme applies the exact element unitary first and
-then one channel per scheduled CNOT target.
+then one channel per scheduled CNOT target. The dense density matrix
+serves noisy ADAPT and direct ``run_circuit`` calls, and is the oracle
+of ``pauli_transfer.noisy_energy``, which runs noisy Delta E grids on
+Pauli coefficients.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ VALIDATE_TOL = 1e-10
 # Peak live 4^n complex arrays of a density-matrix run, rounded up from the
 # 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
+# Peak bytes per 4^n entry of a Pauli-coefficient run
+# (``pauli_transfer.noisy_energy``), rounded up from the 58.3 traced on an
+# H4 fermionic circuit whose terms span the whole register.
+PAULI_PEAK_BYTES = 64
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -95,7 +101,7 @@ class QuantumState:
                 f"basis index {index} outside register of {n_qubits} qubits"
             )
         if density:
-            _check_density_memory(n_qubits)
+            check_memory(n_qubits)
             data = np.zeros((dim, dim), dtype=complex)
             data[index, index] = 1.0
         else:
@@ -291,11 +297,7 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
 
 
 def _depolarize_core(state: QuantumState, qubit: int, p: float):
-    """Twirl-identity channel update without validation.
-
-    Algebraically valid for any real p, which linear-response probes use
-    to take symmetric derivatives at p = 0.
-    """
+    """Twirl-identity channel update; the callers validate p."""
     low = 1 << qubit
     high = 1 << (state.n_qubits - qubit - 1)
     r = state.data.reshape(high, 2, low, high, 2, low)
@@ -407,54 +409,17 @@ def compile_term(ps: PauliString, b: float, theta: float) -> list[GateOp]:
     return pre + ladder + [rotation] + ladder[::-1] + post[::-1]
 
 
-def conjugate_masks(gates, x: int, z: int) -> tuple[int, int]:
-    """Masks of G P G+, up to sign, for P with masks (x, z) and G the
-    Clifford ``gates`` in order: H swaps the x and z bits, v and vdg do
-    x ^= z, CNOT(c, t) does x_t ^= x_c and z_c ^= z_t. Each map is an
-    involution, so the reversed gates give the masks of G+ P G."""
-    for gate in gates:
-        if gate.is_cnot:
-            control, target = gate.qubits
-            x ^= ((x >> control) & 1) << target
-            z ^= ((z >> target) & 1) << control
-        elif gate.kind == "h":
-            flip = (x ^ z) & (1 << gate.qubits[0])
-            x, z = x ^ flip, z ^ flip
-        elif gate.kind in ("v", "vdg"):
-            x ^= z & (1 << gate.qubits[0])
-        else:
-            raise ConfigError(f"{gate} is not a Clifford gate")
-    return x, z
-
-
 def compile_element(element: AnsatzElement, theta: float) -> list[GateOp]:
     """Staircase decomposition of exp(theta T): its terms in stored order."""
     return [g for ps, b in element.terms for g in compile_term(ps, b, theta)]
 
 
-def _element_with_raw_probability(
-    state: QuantumState, element: AnsatzElement, theta: float,
-    p: float, scheme: str,
-):
-    """One element plus per-CNOT-target channels at unvalidated p."""
-    if scheme == "gate_by_gate":
-        for gate in compile_element(element, theta):
-            apply_gate(state, gate)
-            if gate.is_cnot:
-                _depolarize_core(state, gate.qubits[1], p)
-    elif scheme == "element_by_element":
-        apply_element(state, element, theta)
-        for qubit, count in element.cnot_schedule:
-            for _ in range(count):
-                _depolarize_core(state, qubit, p)
-    else:
-        raise ConfigError(f"unknown noise scheme {scheme!r}")
-
-
 def apply_noisy_element(
     state: QuantumState, element: AnsatzElement, theta: float, noise: NoiseModel
 ) -> QuantumState:
-    """Apply one ansatz element under the configured noise scheme.
+    """Apply one ansatz element under the configured noise scheme: its
+    staircase gates with a channel on every CNOT target, or its exact
+    unitary and then one channel per scheduled CNOT target.
 
     Noiseless requests fall back to exact evolution on either backend.
     """
@@ -464,9 +429,16 @@ def apply_noisy_element(
         raise ConfigError(
             "noisy element application needs the density backend"
         )
-    _element_with_raw_probability(
-        state, element, theta, noise.p, noise.scheme
-    )
+    if noise.scheme == "gate_by_gate":
+        for gate in compile_element(element, theta):
+            apply_gate(state, gate)
+            if gate.is_cnot:
+                _depolarize_core(state, gate.qubits[1], noise.p)
+    else:
+        apply_element(state, element, theta)
+        for qubit, count in element.cnot_schedule:
+            for _ in range(count):
+                _depolarize_core(state, qubit, noise.p)
     return state.check_weight()
 
 
@@ -498,14 +470,16 @@ def cnot_count(ansatz: Ansatz) -> int:
     return sum(e.cnot_count for e in ansatz.elements)
 
 
-def _check_density_memory(n_qubits: int):
-    """Refuse, before allocating, a density-matrix run that would outgrow
-    physical memory."""
+def check_memory(
+    n_qubits: int, bytes_per_entry: int = DENSITY_PEAK_COPIES * 16
+):
+    """Refuse, before allocating, a run on 4^n entries (a density matrix
+    or its Pauli coefficients) that would outgrow physical memory."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf reading
         return
-    need = DENSITY_PEAK_COPIES * 16 * 4 ** n_qubits
+    need = bytes_per_entry * 4 ** n_qubits
     if need > have:
         raise ResourceLimitError(
             f"{n_qubits}-qubit density-matrix runs need about "
@@ -513,7 +487,7 @@ def _check_density_memory(n_qubits: int):
         )
 
 
-def _check_density_limit(n_qubits: int, dense_limit: int):
+def check_density_limit(n_qubits: int, dense_limit: int):
     if dense_limit > DENSITY_LIMIT_HARD:
         raise ConfigError(
             f"density limit {dense_limit} exceeds the hard cap "
@@ -542,8 +516,11 @@ def run_circuit(
     """
     params, n = check_circuit(ansatz, params, n_qubits)
     if noise.is_noisy:
-        _check_density_limit(n, dense_limit)
+        check_density_limit(n, dense_limit)
     state = QuantumState.from_basis_index(initial, n, density=noise.is_noisy)
     for element, theta in zip(ansatz.elements, params):
-        apply_noisy_element(state, element, float(theta), noise)
+        if noise.is_noisy:
+            apply_noisy_element(state, element, float(theta), noise)
+        else:
+            apply_element(state, element, float(theta))
     return state.check_weight()

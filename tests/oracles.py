@@ -335,3 +335,18 @@ def apply_element_kernel_oracle(state, element, theta: float):
         rotations = [(t, c, phased.conj()) for t, c, phased in rotations]
     apply_rotations_to_rows(state.data, rotations, scratch)
     return state
+
+
+def pauli_coefficients(rho: np.ndarray, n_qubits: int) -> np.ndarray:
+    """r_k = Tr(P_k rho) for k = x | z << n, with P_k the Kronecker product
+    of X (x bit), Z (z bit) or Y (both) on each qubit."""
+    dim = 1 << n_qubits
+    axes = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    out = np.empty(dim * dim)
+    for k in range(dim * dim):
+        x, z = k % dim, k // dim
+        paulis = {q: axes[(x >> q) & 1, (z >> q) & 1] for q in range(n_qubits)}
+        value = np.einsum("ij,ji->", kron_pauli(paulis, n_qubits), rho)
+        assert abs(value.imag) < 1e-12
+        out[k] = value.real
+    return out

@@ -369,27 +369,41 @@ class TestSweepNoise:
     def test_bit_identical_to_allocating_kernels(
         self, h2, h2_prefixes, scheme, monkeypatch
     ):
+        """The dense kernels that noisy ADAPT and direct ``run_circuit``
+        calls use, on the sweep's H2 prefixes and probabilities."""
         import vqenoise.simulator as simulator_module
 
         record, prefixes = h2_prefixes
 
-        def table():
-            return sweep_noise(
-                prefixes, h2.hamiltonian, [1e-4, 1e-2], record.reference_index,
-                h2.fci_energy, scheme=scheme, n_qubits=h2.n_qubits,
-            ).delta_e
+        def energies():
+            return [
+                expectation(h2.hamiltonian, run_circuit(
+                    record.reference_index, ansatz, params,
+                    noise=NoiseModel(p, scheme), n_qubits=h2.n_qubits,
+                ))
+                for _, ansatz, params in prefixes for p in (1e-4, 1e-2)
+            ]
 
-        fast = table()
+        fast = energies()
+        calls = []
+
+        def counted(kernel):
+            def run(*args):
+                calls.append(kernel)
+                return kernel(*args)
+            return run
+
         monkeypatch.setattr(simulator_module, "apply_gate",
-                            apply_gate_kernel_oracle)
+                            counted(apply_gate_kernel_oracle))
         monkeypatch.setattr(simulator_module, "apply_element",
-                            apply_element_kernel_oracle)
+                            counted(apply_element_kernel_oracle))
         monkeypatch.setattr(
             simulator_module, "_depolarize_core",
-            lambda state, qubit, p: depolarize_kernel_oracle(
-                state.data, state.n_qubits, qubit, p),
+            counted(lambda state, qubit, p: depolarize_kernel_oracle(
+                state.data, state.n_qubits, qubit, p)),
         )
-        assert np.array_equal(fast, table())
+        assert fast == energies()
+        assert calls  # the oracles ran: the check is not vacuous
 
     def test_zero_column_matches_record(self, h2, h2_prefixes):
         record, prefixes = h2_prefixes

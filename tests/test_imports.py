@@ -1,4 +1,5 @@
-"""Every import in the package and the test suite is read somewhere."""
+"""Every import in the package and the test suite is read somewhere, and
+no package module imports a sibling's private name."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,31 @@ def test_scan_sees_plain_aliased_and_dotted_imports():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source):
+    """Underscore-prefixed names that a relative or ``vqenoise`` import
+    takes from a sibling module (dunder names such as ``__version__`` are
+    not private)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("vqenoise")):
+            found.extend(alias.name for alias in node.names
+                         if alias.name.startswith("_")
+                         and not alias.name.endswith("__"))
+    return sorted(found)
+
+
+def test_private_scan_sees_relative_and_absolute_imports():
+    source = ("from .simulator import _core, run\n"
+              "from vqenoise.operators import _build, expectation\n"
+              "from . import __version__\nfrom numpy import _private\n")
+    assert private_imports(source) == ["_build", "_core"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "vqenoise").glob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path.read_text()) == []

@@ -30,19 +30,19 @@ from vqenoise.simulator import (
     NoiseModel,
     QuantumState,
     _apply_1q,
-    _check_density_memory,
     _depolarize_core,
     apply_depolarizing,
     apply_element,
     apply_gate,
     apply_rotations_to_rows,
+    check_memory,
     cnot_count,
     compile_circuit,
     compile_element,
-    conjugate_masks,
     pauli_rotations,
     run_circuit,
 )
+from vqenoise.pauli_transfer import conjugate_masks
 
 from oracles import (
     _apply_1q_left,
@@ -718,9 +718,9 @@ class TestDensityMemoryGuard:
 
     def test_fourteen_qubits_refused_on_eight_gigabytes(self, physical_memory):
         physical_memory(8 * 10**9)
-        _check_density_memory(12)  # 8 copies of 256 MiB
+        check_memory(12)  # 8 copies of 256 MiB
         with pytest.raises(ResourceLimitError):
-            _check_density_memory(14)  # 8 copies of 4 GiB
+            check_memory(14)  # 8 copies of 4 GiB
 
     def test_noisy_run_refused_before_allocating(self, physical_memory):
         ansatz = build_uccsd(4, 2)

@@ -183,28 +183,33 @@ def central_gradient(fun, x) -> np.ndarray:
     return grad
 
 
-def _counted(fun, what="objective"):
-    """``fun`` rejecting non-finite values; ``.evaluations`` counts calls."""
-    def f(point):
-        f.evaluations += 1
-        value = fun(point)
+class _Counted:
+    """``fun`` rejecting non-finite values; ``evaluations`` counts calls.
+    An object, not a function that counts on itself: that would be a
+    reference cycle keeping ``fun`` and what it holds alive until the
+    cyclic collector runs."""
+
+    def __init__(self, fun, what="objective"):
+        self.fun, self.what, self.evaluations = fun, what, 0
+
+    def __call__(self, point):
+        self.evaluations += 1
+        value = self.fun(point)
         if not np.all(np.isfinite(value)):
             raise NumericIntegrityError(
-                f"{what} returned non-finite value {value}"
+                f"{self.what} returned non-finite value {value}"
             )
         return value
-    f.evaluations = 0
-    return f
 
 
 def _counted_pair(fun, gradient):
     """Counted objective and gradient; without ``gradient``, central
     differences of the counted objective."""
-    f = _counted(fun)
+    f = _Counted(fun)
     if gradient is None:
         def gradient(point):
             return central_gradient(f, point)
-    return f, _counted(gradient, "gradient")
+    return f, _Counted(gradient, "gradient")
 
 
 def _result(x, energy, converged, f, grad) -> OptimizeResult:
@@ -375,16 +380,20 @@ def optimize_parameters(
     if optimizer not in _OPTIMIZER_FUNCTIONS:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
 
-    def fun(params):
-        state = run_circuit(
+    def run(params):
+        return run_circuit(
             reference, ansatz, params, noise=noise,
             n_qubits=n_qubits, dense_limit=dense_limit,
         )
-        return expectation(h, state)
 
     gradient = None
     if not noise.is_noisy:
-        gradient = _adjoint_gradient(ansatz, h, reference, n_qubits)
+        run = _reuse_last(run)  # the gradient starts where fun just ran
+        gradient = _adjoint_gradient(ansatz, h, run)
+
+    def fun(params):
+        return expectation(h, run(params))
+
     return _OPTIMIZER_FUNCTIONS[optimizer](
         fun, params0, grad_tol=eps_opt, gradient=gradient
     )
@@ -400,9 +409,23 @@ def _apply_generator(element, psi: np.ndarray) -> np.ndarray:
     return t_psi
 
 
-def _adjoint_gradient(ansatz: Ansatz, h: QubitOperator, reference: int,
-                      n_qubits: int | None):
-    """Exact dE/dtheta of the noiseless circuit energy.
+def _reuse_last(run):
+    """``run`` that returns its last state again when called at bit-equal
+    params, instead of running the circuit twice at one point."""
+    last = [None, None]  # params bytes, state
+
+    def reused(params):
+        key = np.asarray(params, dtype=float).tobytes()
+        if key != last[0]:
+            last[:] = key, run(params)
+        return last[1]
+
+    return reused
+
+
+def _adjoint_gradient(ansatz: Ansatz, h: QubitOperator, run):
+    """Exact dE/dtheta of the noiseless circuit energy; ``run(params)``
+    gives the forward state.
 
     With psi_j the state after element j and lambda_j = U_{j+1}+ ... U_N+
     H psi_N, dE/dtheta_j = 2 Re <lambda_j|T_j psi_j>. One forward pass
@@ -410,7 +433,7 @@ def _adjoint_gradient(ansatz: Ansatz, h: QubitOperator, reference: int,
     through U_j+ = exp(-theta_j T_j) with the shared rotation kernel.
     """
     def gradient(params):
-        state = run_circuit(reference, ansatz, params, n_qubits=n_qubits)
+        state = run(params)
         rows = np.stack([state.data, apply_operator(h, state.data)])
         scratch = np.empty_like(rows)
         grad = np.zeros(ansatz.n_params)

@@ -1,7 +1,7 @@
 """Noisy energies on Pauli-transfer coefficients, and the Clifford frame
 of staircase terms that they share with the susceptibility engine.
 
-A register state rho is held as its 4^n real coefficients
+A register state rho has 4^n real coefficients
 r_k = Tr(P_k rho) on the Hermitian Pauli strings P_k = i^y X^x Z^z
 (y = |x & z|, ``PauliString``'s convention), at k = x | z << n
 (Greenbaum, arXiv:1509.02921; Rall et al., arXiv:1901.09070). There a
@@ -12,6 +12,15 @@ gather. gate_by_gate puts a channel after every CNOT of a staircase term;
 moved through the term's Clifford gates to its boundary
 (``conjugate_masks``), each is a Pauli channel, still diagonal, so the
 whole term is diag(f_post) R_P(phi) diag(f_pre) with f = lam^e.
+
+Most of the 4^n coefficients stay zero. The determinant is nonzero only
+at x = 0, a term moves r from x mask x to x ^ x_P, and every channel is
+diagonal, so r lives in the columns x of the GF(2) span of the ansatz
+terms' x masks, of dimension d (5 for the frozen H4 qeb circuit on 8
+qubits). A run keeps a 2^n x 2^d grid: rows z mask, column c the span
+mask ``table[c]``, with coordinates as linear as masks (``span_table``).
+Each string's theta- and p-independent codes are kept between runs, up
+to ``CODE_CACHE_BYTES``.
 
 ``noisy_energy`` is the fast path of noisy Delta E grids; the dense
 density-matrix kernels of ``simulator`` stay the oracle it is tested
@@ -89,6 +98,44 @@ def _term_slots(x_mask: int, z_mask: int, n_qubits: int):
     return slots[:len(slots) // 2], slots[len(slots) // 2:]
 
 
+def span_table(x_masks) -> np.ndarray:
+    """The 2^d masks of the GF(2) span of ``x_masks``, from a basis found by
+    XOR elimination: table[c] is the XOR of basis[i] over the set bits i
+    of c, so the XOR of two coordinates is the coordinate of the XOR of
+    their masks."""
+    basis: list[int] = []
+    for x in x_masks:
+        for b in basis:  # clears each earlier basis mask's leading bit
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+    table = np.zeros(1, dtype=np.intp)
+    for b in basis:
+        table = np.concatenate([table, table ^ b])
+    return table
+
+
+class _Grid:
+    """The kernels' (rows z, columns c) grid: row z holds the register's
+    z mask z, column c the x mask ``table[c]`` of the span, and
+    ``coordinate`` maps each span mask to its column. The codes of both on
+    a support are kept per support for the grid's run."""
+
+    def __init__(self, n_qubits: int, x_masks):
+        self.register = np.arange(1 << n_qubits)
+        self.table = span_table(x_masks)
+        self.columns = np.arange(len(self.table))
+        self.coordinate = {x: c for c, x in enumerate(self.table.tolist())}
+        self._codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def codes(self, support: int):
+        """The row and the column codes on ``support``."""
+        if support not in self._codes:
+            self._codes[support] = (_pack(self.register, support),
+                                    _pack(self.table, support))
+        return self._codes[support]
+
+
 def _pack(values, support: int):
     """The bits of ``values`` (an int or an int array) on the ``support``
     qubits, packed in qubit order into the low bits: their code there."""
@@ -122,71 +169,146 @@ def _scaled(cols, rows):
     return np.bitwise_count(d)
 
 
-def _term_factors(ps, phi, lam, pre, post, register):
-    """The term diag(f_post) R_P(phi) diag(f_pre) on Pauli coefficients:
-    r_R <- a_R r_R + b_R r_{R xor P} over the register's strings R (rows
-    z mask, columns x mask). a and b depend only on R's masks on P's
-    support, so they are built over those (the support's codes) and then
-    spread over the register (``register`` holds every mask). Each slot
-    of ``pre`` and ``post`` is one channel: f = lam^(slots that scale R)."""
-    xp, zp = ps.x_mask, ps.z_mask
-    support = xp | zp
-    masks = register[(register & ~support) == 0]  # by code on the support
+class _CappedCache:
+    """``build(*key)``'s array, kept read-only per key while those kept
+    total at most ``limit`` bytes: the least recently used go first, and
+    an array larger than ``limit`` is never kept."""
+
+    def __init__(self, build, limit: int):
+        self.build, self.limit = build, limit
+        self.held: dict = {}  # least recently used first
+        self.nbytes = 0
+
+    def __call__(self, *key):
+        value = self.held.pop(key, None)
+        if value is None:
+            value = self.build(*key)
+            if value.nbytes > self.limit:
+                return value
+            value.flags.writeable = False  # every later call shares it
+            self.nbytes += value.nbytes
+            while self.nbytes > self.limit:
+                self.nbytes -= self.held.pop(next(iter(self.held))).nbytes
+        self.held[key] = value
+        return value
+
+
+def _build_codes(x_mask: int, z_mask: int, n_qubits: int, staircase: bool):
+    """A term's theta- and p-independent codes over the codes of R's masks
+    on P's support (rows z, columns x), as uint8: e (below), and for a
+    staircase with channel slots the number of slots that scale a_R and
+    b_R (``term_slots``)."""
+    support = x_mask | z_mask
+    masks = np.arange(support + 1)
+    masks = masks[(masks & ~support) == 0]  # by code on the support
     count = np.bitwise_count
     # i R P = i^e (R xor P) with e = 1 + y_R + y_P - y_(R xor P)
     # + 2|z_R & x_P| mod 4 for strings i^y X^x Z^z (y = |x & z|); e is even
     # exactly where R anticommutes with P. The uint8 counts wrap mod 256,
     # which leaves e mod 4 alone.
     e = count(masks[:, None] & masks)
-    e -= count((masks[:, None] ^ zp) & (masks ^ xp))
-    e += (1 + ps.y_count + 2 * count(masks & xp))[:, None]
+    e -= count((masks[:, None] ^ z_mask) & (masks ^ x_mask))
+    y_p = (x_mask & z_mask).bit_count()
+    e += (1 + y_p + 2 * count(masks & x_mask))[:, None]
     e &= 3
+    if not staircase or support.bit_count() < 2:  # no CNOT, no slot
+        return e[None]
+    pre, post = _term_slots(x_mask, z_mask, n_qubits)
+    (pre_cols, pre_rows), (post_cols, post_rows) = (
+        _slot_bits(masks, slots) for slots in (pre, post))
+    post_cols, post_rows = (v << 2 * len(pre) for v in (post_cols, post_rows))
+    # b_R takes f_pre at R xor P: the pre slots read the partner's codes
+    index = np.arange(len(masks))
+    partner_cols = pre_cols[index ^ _pack(x_mask, support)]
+    partner_rows = pre_rows[index ^ _pack(z_mask, support)]
+    return np.stack([
+        e, _scaled(pre_cols | post_cols, pre_rows | post_rows),
+        _scaled(partner_cols | post_cols, partner_rows | post_rows),
+    ])
+
+
+# Worst-case bytes of the codes kept by ``_term_codes``: 3 * 4^w per string
+# of weight w, so 42 strings of weight 8 (the whole H4 register); the 176
+# strings of the deepest fermionic ADAPT circuit on H4 take 2.6 MB.
+CODE_CACHE_BYTES = 8 << 20
+_term_codes = _CappedCache(_build_codes, CODE_CACHE_BYTES)
+
+
+def _term_factors(ps, phi, lam, staircase):
+    """The term diag(f_post) R_P(phi) diag(f_pre) on Pauli coefficients:
+    r_R <- a_R r_R + b_R r_{R xor P}. a and b depend only on R's masks on
+    P's support, so they are built over those codes (rows z, columns x)
+    from the string's kept codes. For a staircase, each channel slot of
+    ``term_slots`` scales by lam: f = lam^(slots that scale R)."""
+    e, *scaled = _term_codes(ps.x_mask, ps.z_mask, ps.n_qubits, staircase)
     cos, sin = math.cos(2.0 * phi), math.sin(2.0 * phi)
     a = np.array([cos, 1.0, cos, 1.0]).take(e)
     b = np.array([sin, 0.0, -sin, 0.0]).take(e)
-    if pre:
-        powers = lam ** np.arange(len(pre) + len(post) + 1)
-        (pre_cols, pre_rows), (post_cols, post_rows) = (
-            _slot_bits(masks, slots) for slots in (pre, post))
-        post_cols, post_rows = (v << 2 * len(pre) for v in (post_cols, post_rows))
-        a *= powers.take(_scaled(pre_cols | post_cols, pre_rows | post_rows))
-        # b_R takes f_pre at R xor P: the pre slots read the partner's codes
-        index = np.arange(len(masks))
-        partner_cols = pre_cols[index ^ _pack(xp, support)]
-        partner_rows = pre_rows[index ^ _pack(zp, support)]
-        b *= powers.take(
-            _scaled(partner_cols | post_cols, partner_rows | post_rows))
-    if len(masks) == len(register):  # P spans the register: codes are masks
-        return a, b, None
-    return a, b, _pack(register, support)
+    if scaled:
+        powers = lam ** np.arange(2 * ps.weight - 1)  # 2(w - 1) slots
+        a *= powers.take(scaled[0])
+        b *= powers.take(scaled[1])
+    return a, b
 
 
-def _apply_term(r, partner, index, register, ps, phi, lam, pre, post):
-    """r <- diag(f_post) R_P(phi) diag(f_pre) r in place on the (rows z,
-    columns x) grid. ``partner`` and ``index`` are scratch: index holds
-    the gather's keys, then its bytes hold the factors spread over the
-    register."""
-    a, b, codes = _term_factors(ps, phi, lam, pre, post, register)
-    np.bitwise_or((register ^ ps.z_mask)[:, None] * len(register),
-                  register ^ ps.x_mask, out=index)
+def _apply_term(r, partner, index, grid, ps, phi, lam, staircase):
+    """r <- diag(f_post) R_P(phi) diag(f_pre) r in place on the grid: R
+    xor P sits at (z ^ z_P, c ^ c_P). ``partner`` and ``index`` are
+    scratch: index holds the gather's keys, then its bytes hold the
+    factors spread over the grid."""
+    a, b = _term_factors(ps, phi, lam, staircase)
+    rows, cols = grid.codes(ps.x_mask | ps.z_mask)
+    np.bitwise_or((grid.register ^ ps.z_mask)[:, None] * len(grid.table),
+                  grid.columns ^ grid.coordinate[ps.x_mask], out=index)
     r.take(index, out=partner, mode="clip")  # indices are in range
     for factors, target in ((b, partner), (a, r)):
-        if codes is not None:  # from P's support over the register
-            factors = np.take(factors[codes], codes, axis=1,
-                              out=index.view(np.float64), mode="clip")
-        target *= factors
+        target *= np.take(factors.take(cols, axis=1), rows, axis=0,
+                          out=index.view(np.float64), mode="clip")
     r += partner
 
 
-def _apply_channels(r, partner, index, register, schedule, lam):
+def _apply_channels(r, partner, index, grid, schedule, lam):
     """``count`` channels on each scheduled (qubit, count), in place on the
-    (rows z, columns x) grid: r_R scales by lam to the channels on R's
-    support x | z. ``partner`` and ``index`` are scratch."""
-    e = np.zeros(len(register), dtype=np.intp)
+    grid: r_R scales by lam to the channels on R's support x | z.
+    ``partner`` and ``index`` are scratch."""
+    e = np.zeros(len(grid.register), dtype=np.intp)
     for qubit, count in schedule:
-        e += count * (register >> qubit & 1)
-    np.bitwise_or(register[:, None], register, out=index)
+        e += count * (grid.register >> qubit & 1)
+    np.bitwise_or(grid.register[:, None], grid.table, out=index)
     r *= np.take(lam ** e, index, out=partner, mode="clip")
+
+
+def _evolve(grid, initial, ansatz, params, lam, scheme):
+    """The coefficients on ``grid`` after the determinant ``initial`` runs
+    through the ansatz with channels of lam = 1 - 4p/3."""
+    shape = (len(grid.register), len(grid.table))
+    r, partner = np.zeros(shape), np.empty(shape)
+    index = np.empty(shape, dtype=np.intp)
+    r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
+    staircase = scheme == "gate_by_gate"
+    for element, theta in zip(ansatz.elements, params.tolist()):
+        for ps, coeff in element.terms:
+            _apply_term(r, partner, index, grid, ps, coeff * theta, lam,
+                        staircase)
+        if not staircase:
+            _apply_channels(r, partner, index, grid, element.cnot_schedule,
+                            lam)
+    return r
+
+
+def _energy(r, grid, h: QubitOperator) -> float:
+    """sum_P h_P r_P, with r_P = 0 for each P whose x mask lies outside
+    the span."""
+    coordinate = grid.coordinate
+    seen = np.fromiter(
+        (r[ps.z_mask, coordinate[ps.x_mask]] if ps.x_mask in coordinate
+         else 0.0 for ps in h.terms), float, len(h.terms))
+    value = complex(np.fromiter(h.terms.values(), complex) @ seen)
+    if not abs(value.imag) <= IMAG_TOL:
+        raise NumericIntegrityError(
+            f"energy {value:.3e} has an imaginary residue"
+        )
+    return value.real
 
 
 def _check_coefficients(r: np.ndarray, n_qubits: int, physical: bool):
@@ -222,7 +344,9 @@ def noisy_energy(
     under per-CNOT depolarizing probability ``p``, on Pauli coefficients.
 
     The determinant sets r = +-1 on the Z strings and the energy is
-    sum_P h_P r_P. gate_by_gate runs each term as diag(f_post) R_P
+    sum_P h_P r_P. Only the columns of the span of the terms' x masks are
+    held: 2^n x 2^d coefficients, and r_P = 0 for P outside the span.
+    gate_by_gate runs each term as diag(f_post) R_P
     diag(f_pre), its channels moved to its boundary (``term_slots``);
     element_by_element runs the element's terms exactly, then scales each
     r_R by lam to the element's scheduled channels on R's support. Equals
@@ -248,26 +372,8 @@ def noisy_energy(
         )
     check_density_limit(n, dense_limit)
     check_memory(n, PAULI_PEAK_BYTES)
-    lam = 1.0 - 4.0 * p / 3.0
-    register = np.arange(dim)
-    # r[z, x] = r_k: rows z mask, columns x mask
-    r, partner = np.zeros((dim, dim)), np.empty((dim, dim))
-    index = np.empty((dim, dim), dtype=np.intp)
-    r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(register & initial) & 1)
-    for element, theta in zip(ansatz.elements, params.tolist()):
-        for ps, coeff in element.terms:
-            slots = term_slots(ps) if scheme == "gate_by_gate" else ((), ())
-            _apply_term(r, partner, index, register, ps, coeff * theta, lam,
-                        *slots)
-        if scheme == "element_by_element":
-            _apply_channels(r, partner, index, register,
-                            element.cnot_schedule, lam)
-    r = r.reshape(-1)
-    _check_coefficients(r, n, 0.0 <= p <= 1.0)
-    strings = [ps.x_mask | ps.z_mask << n for ps in h.terms]
-    value = complex(np.fromiter(h.terms.values(), complex) @ r[strings])
-    if not abs(value.imag) <= IMAG_TOL:
-        raise NumericIntegrityError(
-            f"energy {value:.3e} has an imaginary residue"
-        )
-    return value.real
+    grid = _Grid(n, [ps.x_mask for element in ansatz.elements
+                     for ps, _ in element.terms])
+    r = _evolve(grid, initial, ansatz, params, 1.0 - 4.0 * p / 3.0, scheme)
+    _check_coefficients(r.reshape(-1), n, 0.0 <= p <= 1.0)
+    return _energy(r, grid, h)

@@ -51,9 +51,9 @@ VALIDATE_TOL = 1e-10
 # Peak live 4^n complex arrays of a density-matrix run, rounded up from the
 # 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
-# Peak bytes per 4^n entry of a Pauli-coefficient run
-# (``pauli_transfer.noisy_energy``), rounded up from the 58.3 traced on an
-# H4 fermionic circuit whose terms span the whole register.
+# Peak bytes per 4^n entry of a Pauli-coefficient run (``noisy_energy``),
+# from 58.3 traced when runs held all 4^n; an upper bound now that a run
+# holds 2^n x 2^d, d <= n, and well above 45.8 per 2^(n+d) on H4 qeb.
 PAULI_PEAK_BYTES = 64
 
 _SQ2 = 1.0 / math.sqrt(2.0)

@@ -1,5 +1,7 @@
 """Tests for the growth loop, decision rules, and in-repo optimizers."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from vqenoise.adapt import (
     AdaptConfig,
     AdaptIteration,
     AdaptRecord,
+    GRAD_NORM_CUTOFF,
     adapt_run,
     bfgs_minimize,
     central_gradient,
@@ -280,8 +283,10 @@ def adjoint_and_oracle(problem, ansatz, params):
         return expectation(problem.hamiltonian, run_circuit(
             reference, ansatz, x, n_qubits=problem.n_qubits))
 
-    adjoint = _adjoint_gradient(ansatz, problem.hamiltonian, reference,
-                                problem.n_qubits)(params)
+    def run(x):
+        return run_circuit(reference, ansatz, x, n_qubits=problem.n_qubits)
+
+    adjoint = _adjoint_gradient(ansatz, problem.hamiltonian, run)(params)
     return adjoint, central_gradient(energy, params)
 
 
@@ -348,6 +353,65 @@ class TestEvaluationCounts:
         )
         # each gradient is two energy calls
         assert result.n_evaluations >= 2 * result.n_gradients + 1
+
+
+class TestForwardStateReuse:
+    """Noiseless optimization asks the gradient where the objective has
+    just run the circuit, and reuses that forward state."""
+
+    def test_bit_identical_to_separate_forward_passes(self, h4):
+        ansatz = build_uccsd(h4.n_qubits, h4.n_electrons)
+        reference = hartree_fock_index(h4.n_electrons)
+        x0 = np.zeros(ansatz.n_params)
+
+        def run(x):
+            return run_circuit(reference, ansatz, x, n_qubits=h4.n_qubits)
+
+        want = bfgs_minimize(
+            lambda x: expectation(h4.hamiltonian, run(x)), x0,
+            grad_tol=GRAD_NORM_CUTOFF,
+            gradient=_adjoint_gradient(ansatz, h4.hamiltonian, run),
+        )
+        got = optimize_parameters(ansatz, x0, h4.hamiltonian, reference)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.energy == want.energy
+        assert (got.n_evaluations, got.n_gradients) == (
+            want.n_evaluations, want.n_gradients)
+
+    def test_fewer_forward_passes(self, h4, monkeypatch):
+        import vqenoise.adapt as adapt_module
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_circuit(*args, **kwargs)
+
+        monkeypatch.setattr(adapt_module, "run_circuit", counted)
+        ansatz = build_uccsd(h4.n_qubits, h4.n_electrons)
+        result = optimize_parameters(
+            ansatz, np.zeros(ansatz.n_params), h4.hamiltonian,
+            hartree_fock_index(h4.n_electrons),
+        )
+        assert result.n_gradients > 0
+        # each gradient follows the evaluation at its point
+        assert len(calls) <= result.n_evaluations
+        assert len(calls) < result.n_evaluations + result.n_gradients
+
+    def test_leaves_no_reference_cycles(self, h2):
+        """The held forward state is freed with the optimizer's objects,
+        not at the cyclic collector's next run."""
+        ansatz = build_uccsd(h2.n_qubits, h2.n_electrons)
+        args = (ansatz, np.zeros(ansatz.n_params), h2.hamiltonian,
+                hartree_fock_index(h2.n_electrons))
+        optimize_parameters(*args)  # fills the per-string caches
+        gc.collect()
+        gc.disable()
+        try:
+            optimize_parameters(*args)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOptimizeParameters:

@@ -2,6 +2,7 @@
 density-matrix oracle: each exact rotation, each channel, whole circuits."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import vqenoise.pauli_transfer as pauli_transfer
 from vqenoise.adapt import AdaptConfig, adapt_run, truncation_prefixes
-from vqenoise.analysis import sweep_noise
+from vqenoise.analysis import DERIVATIVE_STEP, sweep_noise
 from vqenoise.ansatz import (
     Ansatz, build_pool, build_uccsd, hartree_fock_index,
 )
@@ -25,8 +26,11 @@ from vqenoise.pauli_transfer import (
     _apply_channels,
     _apply_term,
     _check_coefficients,
+    _energy,
+    _evolve,
+    _Grid,
     noisy_energy,
-    term_slots,
+    span_table,
 )
 from vqenoise.simulator import (
     PAULI_PEAK_BYTES, NoiseModel, compile_term, run_circuit,
@@ -42,7 +46,9 @@ from oracles import (
 
 N = 3
 DIM = 1 << N
-REGISTER = np.arange(DIM)
+FULL = _Grid(N, range(DIM))  # columns are x masks
+# A proper sub-span, {0, 3, 5, 6}: coordinates 1, 2, 3 hold masks 3, 5, 6
+SUB = _Grid(N, [0b011, 0b110])
 STRINGS = [PauliString.from_masks(k % DIM, k // DIM, N)
            for k in range(1, DIM * DIM)]
 CIRCUITS_FILE = (Path(__file__).resolve().parent.parent
@@ -50,23 +56,46 @@ CIRCUITS_FILE = (Path(__file__).resolve().parent.parent
 SCHEMES = ("gate_by_gate", "element_by_element")
 
 
-def grid(rho):
-    """Pauli coefficients on the kernels' (rows z, columns x) grid."""
-    return pauli_coefficients(rho, N).reshape(DIM, DIM)
+def grid(rho, on=FULL):
+    """Pauli coefficients on the kernels' (rows z, columns c) grid ``on``."""
+    return pauli_coefficients(rho, N).reshape(DIM, DIM)[:, on.table]
 
 
-def scratch():
-    return np.empty((DIM, DIM)), np.empty((DIM, DIM), dtype=np.intp)
+def scratch(on=FULL):
+    shape = (DIM, len(on.table))
+    return np.empty(shape), np.empty(shape, dtype=np.intp)
+
+
+def rotation_oracle(rho, ps, phi):
+    """exp(i phi P) rho exp(-i phi P), densely."""
+    u = np.cos(phi) * np.eye(DIM) + 1j * np.sin(phi) * kron_pauli(ps.paulis, N)
+    return u @ rho @ u.conj().T
+
+
+def staircase_oracle(rho, ps, phi, p):
+    """exp(i phi P) as its staircase, a channel after every CNOT."""
+    for gate in compile_term(ps, 1.0, phi):
+        u = gate_unitary(gate, N)
+        rho = u @ rho @ u.conj().T
+        if gate.is_cnot:
+            rho = depolarizing_oracle(rho, gate.qubits[1], p, N)
+    return rho
+
+
+def channels_oracle(rho, schedule, p):
+    for qubit, count in schedule:
+        for _ in range(count):
+            rho = depolarizing_oracle(rho, qubit, p, N)
+    return rho
 
 
 @pytest.mark.parametrize("ps", STRINGS, ids=lambda ps: ps.label)
 def test_exact_rotation_matches_dense(ps):
     rho = random_density(N, seed=ps.x_mask + DIM * ps.z_mask)
-    phi = 0.37
-    u = np.cos(phi) * np.eye(DIM) + 1j * np.sin(phi) * kron_pauli(ps.paulis, N)
     r = grid(rho)
-    _apply_term(r, *scratch(), REGISTER, ps, phi, 0.5, (), ())
-    np.testing.assert_allclose(r, grid(u @ rho @ u.conj().T), rtol=0, atol=1e-12)
+    _apply_term(r, *scratch(), FULL, ps, 0.37, 0.5, False)
+    np.testing.assert_allclose(r, grid(rotation_oracle(rho, ps, 0.37)),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0, -1e-3])
@@ -76,30 +105,60 @@ def test_staircase_term_with_channels_matches_dense(ps, p):
     """A channel after every CNOT of the staircase, negative p included:
     the term is diag(f_post) R_P diag(f_pre) on Pauli coefficients."""
     rho = random_density(N, seed=ps.x_mask + DIM * ps.z_mask)
-    phi = -0.61
-    want = rho
-    for gate in compile_term(ps, 1.0, phi):  # exp(i phi P)
-        u = gate_unitary(gate, N)
-        want = u @ want @ u.conj().T
-        if gate.is_cnot:
-            want = depolarizing_oracle(want, gate.qubits[1], p, N)
     r = grid(rho)
-    _apply_term(r, *scratch(), REGISTER, ps, phi, 1.0 - 4.0 * p / 3.0,
-                *term_slots(ps))
-    np.testing.assert_allclose(r, grid(want), rtol=0, atol=1e-12)
+    _apply_term(r, *scratch(), FULL, ps, -0.61, 1.0 - 4.0 * p / 3.0, True)
+    np.testing.assert_allclose(r, grid(staircase_oracle(rho, ps, -0.61, p)),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.75, -1e-3])
 @pytest.mark.parametrize("schedule", [((0, 1),), ((1, 2),), ((0, 2), (2, 3))])
 def test_element_channels_match_dense(schedule, p):
     rho = random_density(N, seed=7)
-    want = rho
-    for qubit, count in schedule:
-        for _ in range(count):
-            want = depolarizing_oracle(want, qubit, p, N)
     r = grid(rho)
-    _apply_channels(r, *scratch(), REGISTER, schedule, 1.0 - 4.0 * p / 3.0)
-    np.testing.assert_allclose(r, grid(want), rtol=0, atol=1e-12)
+    _apply_channels(r, *scratch(), FULL, schedule, 1.0 - 4.0 * p / 3.0)
+    np.testing.assert_allclose(r, grid(channels_oracle(rho, schedule, p)),
+                               rtol=0, atol=1e-12)
+
+
+def test_span_table_is_linear():
+    assert SUB.table.tolist() == [0, 3, 5, 6]
+    assert FULL.table.tolist() == list(range(DIM))
+    masks = [0b1011000001, 0b0110, 0b1101, 0b0110 ^ 0b1101, 0, 1 << 9]
+    table = span_table(masks)
+    assert len(table) == 1 << 4  # the fourth mask is the XOR of two others
+    assert set(masks) <= set(table.tolist())
+    columns = np.arange(len(table))
+    np.testing.assert_array_equal(table[columns[:, None] ^ columns],
+                                  table[:, None] ^ table)
+    assert span_table([5, 3, 6, 5]).tolist() == [0, 5, 3, 6]
+
+
+@pytest.mark.parametrize("p", [0.3, -1e-3])
+@pytest.mark.parametrize("ps", [ps for ps in STRINGS
+                                if ps.x_mask in SUB.coordinate],
+                         ids=lambda ps: ps.label)
+def test_sub_span_term_matches_dense(ps, p):
+    """The span's columns are closed under every term whose x mask lies in
+    the span, so the sub-span kernels give them alone; with and without
+    the staircase's channels."""
+    rho = random_density(N, seed=ps.x_mask + DIM * ps.z_mask)
+    for staircase, want in ((False, rotation_oracle(rho, ps, -0.61)),
+                            (True, staircase_oracle(rho, ps, -0.61, p))):
+        r = grid(rho, SUB)
+        _apply_term(r, *scratch(SUB), SUB, ps, -0.61, 1.0 - 4.0 * p / 3.0,
+                    staircase)
+        np.testing.assert_allclose(r, grid(want, SUB), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.2, -1e-3])
+def test_sub_span_channels_match_dense(p):
+    rho = random_density(N, seed=11)
+    schedule = ((0, 2), (2, 3))
+    r = grid(rho, SUB)
+    _apply_channels(r, *scratch(SUB), SUB, schedule, 1.0 - 4.0 * p / 3.0)
+    np.testing.assert_allclose(r, grid(channels_oracle(rho, schedule, p), SUB),
+                               rtol=0, atol=1e-12)
 
 
 def frozen_qeb_h4(h4):
@@ -139,6 +198,55 @@ def test_whole_circuit_matches_dense(circuits, name, scheme):
         reference, ansatz, params, noise=NoiseModel(p, scheme)))
     fast = noisy_energy(reference, ansatz, params, problem.hamiltonian, p, scheme)
     assert abs(fast - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1e-3, -DERIVATIVE_STEP])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", ["h4_qeb_frozen", "h4_fermionic"])
+def test_span_run_is_bit_identical_to_full_register(circuits, name, scheme,
+                                                    p):
+    """The span's columns carry the same bits as on the whole register,
+    which holds exact zeros everywhere else; so do the energies."""
+    problem, ansatz, params = circuits[name]
+    h, n = problem.hamiltonian, problem.n_qubits
+    reference = hartree_fock_index(problem.n_electrons)
+    span = _Grid(n, [ps.x_mask for element in ansatz.elements
+                     for ps, _ in element.terms])
+    full = _Grid(n, range(1 << n))
+    r_span, r_full = (
+        _evolve(on, reference, ansatz, params, 1.0 - 4.0 * p / 3.0, scheme)
+        for on in (span, full))
+    assert len(span.table) < len(full.table)
+    assert r_span.tobytes() == r_full[:, span.table].tobytes()
+    outside = np.setdiff1d(full.table, span.table)
+    assert not r_full[:, outside].any()
+    energy = _energy(r_span, span, h)
+    assert energy == _energy(r_full, full, h)
+    assert noisy_energy(reference, ansatz, params, h, p, scheme) == energy
+
+
+def test_run_allocates_no_full_register_array(circuits):
+    """One run peaks below PAULI_PEAK_BYTES per entry of its 2^n x 2^d
+    grid: a 4^n float array alone would reach that bound."""
+    problem, ansatz, params = circuits["h4_qeb_frozen"]
+    reference = hartree_fock_index(problem.n_electrons)
+    n = problem.n_qubits
+    d = len(span_table(ps.x_mask for element in ansatz.elements
+                       for ps, _ in element.terms)).bit_length() - 1
+    assert d == 5
+
+    def run():
+        return noisy_energy(reference, ansatz, params, problem.hamiltonian,
+                            1e-3)
+
+    run()  # fills the per-string caches, which outlive the call
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PAULI_PEAK_BYTES * 2 ** (n + d)
 
 
 def test_noiseless_and_empty_circuits(circuits, h2):
@@ -184,8 +292,8 @@ class TestIntegrityChecks:
         factors = pauli_transfer._term_factors
 
         def corrupted(*args):
-            a, b, codes = factors(*args)
-            return corrupt(a), b, codes
+            a, b = factors(*args)
+            return corrupt(a), b
 
         monkeypatch.setattr(pauli_transfer, "_term_factors", corrupted)
         with pytest.raises(NumericIntegrityError):
@@ -195,8 +303,8 @@ class TestIntegrityChecks:
         factors = pauli_transfer._term_factors
 
         def corrupted(*args):
-            a, b, codes = factors(*args)
-            return a * np.nan, b, codes
+            a, b = factors(*args)
+            return a * np.nan, b
 
         monkeypatch.setattr(pauli_transfer, "_term_factors", corrupted)
         code = main(["sweep", "--set", "pool=qeb", "--set", "p_grid=0.001",

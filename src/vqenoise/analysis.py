@@ -4,13 +4,14 @@ The susceptibility chi of a circuit is the first-order response of its
 energy to the per-CNOT depolarizing probability: insert one Pauli after
 one CNOT, finish the circuit, and average the energy fluctuations over
 the three Paulis and all CNOT positions (delta_E); then
-chi = delta_E x N_II with N_II the CNOT count. One batched engine serves
-both noise schemes: a step is Pauli rotations (a term or an element) with
-slots before and after them; a gate_by_gate slot's Pauli reaches its
-term's boundary through the Clifford gates around the Rz
-(``pauli_transfer.term_slots``). One pure-state pass writes perturbed
-states into row blocks that cross later steps by exact evolution
-(``simulator.apply_rotations_to_rows``), and no gate is ever applied.
+chi = delta_E x N_II with N_II the CNOT count. Both noise schemes walk
+the circuit as steps: Pauli rotations (a term or an element) with slots
+before and after them; a gate_by_gate slot's Pauli reaches its term's
+boundary through the Clifford gates around the Rz
+(``pauli_transfer.term_slots``). Every slot is scored in one forward and
+one backward pass on the noiseless circuit's Pauli coefficients
+(``pauli_transfer.slot_shifts``): no perturbed state is ever evolved and
+no gate is applied.
 
 Everything else here builds on that response: the maximally allowed gate
 error p_c for chemical accuracy, accuracy sweeps over (p, ansatz length),
@@ -29,22 +30,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ansatz import Ansatz
-from .exceptions import (
-    ConfigError, DimensionError, NumericIntegrityError, VqeNoiseError,
-)
-from .operators import (
-    IMAG_TOL, PauliString, QubitOperator, apply_operator, expectation,
-    pauli_action,
-)
-from .pauli_transfer import channel_slot, noisy_energy, term_slots
+from .exceptions import ConfigError, DimensionError, VqeNoiseError
+from .operators import QubitOperator, expectation
+from .pauli_transfer import channel_slot, noisy_energy, slot_shifts, term_slots
 from .simulator import (
-    DENSITY_LIMIT_DEFAULT,
-    SCHEMES,
-    QuantumState,
-    apply_rotations_to_rows,
-    check_circuit,
-    pauli_rotations,
-    run_circuit,
+    DENSITY_LIMIT_DEFAULT, SCHEMES, check_circuit, run_circuit,
 )
 
 # Energy-accuracy target: chemical accuracy, in Hartree.
@@ -139,85 +129,6 @@ class ScalingFit:
     delta_e_max: float
 
 
-def _susceptibility(steps, n_qubits, h, reference) -> SusceptibilityReport:
-    """The batched engine behind both noise schemes.
-
-    ``steps`` walks the circuit as (rotations, before, after): rotations
-    from ``pauli_rotations`` and ``channel_slot`` slots whose three strings P act
-    on the clean state before or after them, each shift repeated count
-    times. Every P psi is a row of a (k, 2^n) block of at most max(2^n,
-    one step's rows) that crosses later rotations; before a step that
-    would overflow it, the block is carried to the end, scored and dropped.
-    """
-    if h.n_qubits != n_qubits:
-        raise DimensionError(
-            f"hamiltonian on {h.n_qubits} qubits, circuit on {n_qubits}"
-        )
-    dim = 1 << n_qubits
-    state = QuantumState.from_basis_index(reference, n_qubits)
-    sizes = [3 * (len(before) + len(after)) for _, before, after in steps]
-    cap = min(max([dim] + sizes), sum(sizes))
-    chunk = max(1, (1 << 13) // dim)  # rows per gather: 128 KiB stays in cache
-    block = np.empty((cap, dim), dtype=complex)
-    gathered = np.empty((chunk, dim), dtype=complex)  # the gathers' scratch
-    # one (qubit, index of its X row among all rows) per CNOT position
-    positions, energies, used = [], [], 0
-
-    def perturb(qubit, count, masks):
-        nonlocal used
-        positions.extend([(qubit, len(energies) + used)] * count)
-        for x, z in masks:  # built per use: every slot's action held costs MBs
-            ps = PauliString.from_masks(x, z, n_qubits)
-            targets, phases = pauli_action(ps)
-            np.multiply(phases[targets], state.data[targets], out=block[used])
-            used += 1
-
-    def carry(rows, rotations, score=False):
-        """Evolve rows through rotations, a chunk at a time; score them."""
-        for low in range(0, len(rows), chunk):
-            part = rows[low:low + chunk]
-            apply_rotations_to_rows(part, rotations, gathered[:len(part)])
-            if score:
-                # <H r|r> is the conjugate of <r|H|r>: conjugate H r in place
-                h_part = apply_operator(h, part.T)
-                values = np.einsum(
-                    "ik,ki->k", np.conjugate(h_part, out=h_part), part
-                )
-                if np.abs(values.imag).max() > IMAG_TOL:
-                    raise NumericIntegrityError(
-                        "perturbed energy has imaginary residue"
-                    )
-                energies.extend(values.real.tolist())
-
-    for index, (rotations, before, after) in enumerate(steps):
-        if used + sizes[index] > cap:
-            later = [rotation for step in steps[index:] for rotation in step[0]]
-            carry(block[:used], later, score=True)
-            used = 0
-        for slot in before:
-            perturb(*slot)
-        carry(block[:used], rotations)
-        carry(state.data[None], rotations)
-        for slot in after:
-            perturb(*slot)
-    carry(block[:used], [], score=True)
-    e_unperturbed = expectation(h, state)
-
-    fluctuations = [
-        (position, qubit, sigma, energies[row + j] - e_unperturbed)
-        for position, (qubit, row) in enumerate(positions)
-        for j, sigma in enumerate(SIGMAS)
-    ]
-    n_ii = len(positions)
-    # zero-CNOT circuits: delta_E is undefined and chi is zero
-    delta_e = float(np.mean([f[3] for f in fluctuations])) if n_ii else 0.0
-    return SusceptibilityReport(
-        chi=delta_e * n_ii, delta_e=delta_e, n_ii=n_ii,
-        e_unperturbed=e_unperturbed, fluctuations=tuple(fluctuations),
-        delta_e_defined=n_ii > 0,
-    )
-
-
 def noise_susceptibility(
     ansatz: Ansatz,
     params,
@@ -229,22 +140,41 @@ def noise_susceptibility(
     """Linear noise response of an ansatz circuit at fixed parameters.
 
     The gate_by_gate scheme perturbs after every CNOT of the compiled
-    staircase, each slot moved to its Pauli term's boundary;
-    element_by_element perturbs at that scheme's channel slots after each
-    element instead; both run through the one batched engine.
+    staircase, each slot moved to its Pauli term's boundary
+    (``term_slots``); element_by_element perturbs at that scheme's channel
+    slots after each element instead. Both score every slot in one
+    forward and one backward pass on Pauli coefficients
+    (``pauli_transfer.slot_shifts``).
     """
     params, n = check_circuit(ansatz, params, n_qubits)
     pairs = list(zip(ansatz.elements, params.tolist()))
     if scheme == "gate_by_gate":
-        steps = [(pauli_rotations([term], theta), *term_slots(term[0]))
-                 for element, theta in pairs for term in element.terms]
+        steps = [([(ps, coeff * theta)], *term_slots(ps))
+                 for element, theta in pairs for ps, coeff in element.terms]
     elif scheme == "element_by_element":
-        steps = [(pauli_rotations(element.terms, theta), [],
+        steps = [([(ps, coeff * theta) for ps, coeff in element.terms], [],
                   [channel_slot(q, count) for q, count in element.cnot_schedule])
                  for element, theta in pairs]
     else:
         raise ConfigError(f"unknown noise scheme {scheme!r}")
-    return _susceptibility(steps, n, h, reference)
+    e_unperturbed, shifts = slot_shifts(reference, steps, h, n)
+    slots = [slot for _, before, after in steps for slot in (*before, *after)]
+    # one (qubit, slot) per CNOT position: a slot stands for count channels
+    positions = [(qubit, i) for i, (qubit, count, _) in enumerate(slots)
+                 for _ in range(count)]
+    fluctuations = [
+        (position, qubit, sigma, shift)
+        for position, (qubit, i) in enumerate(positions)
+        for sigma, shift in zip(SIGMAS, shifts[i].tolist())
+    ]
+    n_ii = len(positions)
+    # zero-CNOT circuits: delta_E is undefined and chi is zero
+    delta_e = float(np.mean([f[3] for f in fluctuations])) if n_ii else 0.0
+    return SusceptibilityReport(
+        chi=delta_e * n_ii, delta_e=delta_e, n_ii=n_ii,
+        e_unperturbed=e_unperturbed, fluctuations=tuple(fluctuations),
+        delta_e_defined=n_ii > 0,
+    )
 
 
 def chi_from_density_derivative(
@@ -259,7 +189,7 @@ def chi_from_density_derivative(
 
     Each channel is linear in p, so evaluating at p = -DERIVATIVE_STEP is a
     legitimate analytic continuation; this is the cross-check that the
-    pure-state susceptibility must reproduce.
+    adjoint pass of ``noise_susceptibility`` must reproduce.
     """
     plus, minus = (
         noisy_energy(reference, ansatz, params, h, signed, scheme, n_qubits)

@@ -596,15 +596,14 @@ def _state_array(state) -> np.ndarray:
 
 
 def apply_operator(h: QubitOperator, vec: np.ndarray) -> np.ndarray:
-    """H |psi> for a vector or each column of a (2^n, k) array: one dense
-    product when the matrix is cached, else term by term."""
+    """H |psi> for a state vector: one dense product when the matrix is
+    cached, else term by term."""
     if h.n_qubits <= _MATRIX_CACHE_QUBITS:
         return h.matrix() @ vec
     out = np.zeros(vec.shape, dtype=complex)
-    column = (-1,) + (1,) * (vec.ndim - 1)
     for ps, coeff in h.terms.items():
         targets, phases = pauli_action(ps)
-        out += coeff * (phases[targets].reshape(column) * vec[targets])
+        out += coeff * (phases[targets] * vec[targets])
     return out
 
 

@@ -1,5 +1,5 @@
-"""Noisy energies on Pauli-transfer coefficients, and the Clifford frame
-of staircase terms that they share with the susceptibility engine.
+"""Noisy energies and noise susceptibilities on Pauli-transfer
+coefficients, and the Clifford frame of staircase terms that they share.
 
 A register state rho has 4^n real coefficients
 r_k = Tr(P_k rho) on the Hermitian Pauli strings P_k = i^y X^x Z^z
@@ -24,7 +24,9 @@ to ``CODE_CACHE_BYTES``.
 
 ``noisy_energy`` is the fast path of noisy Delta E grids; the dense
 density-matrix kernels of ``simulator`` stay the oracle it is tested
-against, and serve noisy ADAPT.
+against, and serve noisy ADAPT. ``slot_shifts`` scores a noiseless
+circuit's channel slots for chi in one forward and one backward pass:
+O(terms x 2^(n+d)), plus one matrix product per slot boundary.
 """
 
 from __future__ import annotations
@@ -146,6 +148,12 @@ def _pack(values, support: int):
     return code
 
 
+def _parity(masks: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """(len(masks), len(moved)) uint8: 1 where a mask shares an odd number
+    of bits with a moved mask."""
+    return np.bitwise_count(masks[:, None] & moved) & 1
+
+
 def _slot_bits(masks: np.ndarray, slots):
     """Two bits per slot, split between a string's x and z masks: bit pair
     j of ``cols[x] ^ rows[z]`` is nonzero when the string with masks (x, z)
@@ -154,8 +162,7 @@ def _slot_bits(masks: np.ndarray, slots):
     moved = np.array([m for _, _, (mx, _, mz) in slots for m in (mx, mz)])
     shifts = np.arange(len(moved))
     cols, rows = (
-        ((np.bitwise_count(masks[:, None] & moved[:, side]) & 1).astype(np.intp)
-         << shifts).sum(axis=1)
+        (_parity(masks, moved[:, side]).astype(np.intp) << shifts).sum(axis=1)
         for side in (1, 0)  # x meets the moved z mask, z the moved x mask
     )
     return cols, rows
@@ -278,13 +285,18 @@ def _apply_channels(r, partner, index, grid, schedule, lam):
     r *= np.take(lam ** e, index, out=partner, mode="clip")
 
 
+def _determinant(grid, initial):
+    """r of the determinant ``initial`` on ``grid``, and the scratch."""
+    shape = (len(grid.register), len(grid.table))
+    r, partner = np.zeros(shape), np.empty(shape)
+    r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
+    return r, partner, np.empty(shape, dtype=np.intp)
+
+
 def _evolve(grid, initial, ansatz, params, lam, scheme):
     """The coefficients on ``grid`` after the determinant ``initial`` runs
     through the ansatz with channels of lam = 1 - 4p/3."""
-    shape = (len(grid.register), len(grid.table))
-    r, partner = np.zeros(shape), np.empty(shape)
-    index = np.empty(shape, dtype=np.intp)
-    r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
+    r, partner, index = _determinant(grid, initial)
     staircase = scheme == "gate_by_gate"
     for element, theta in zip(ansatz.elements, params.tolist()):
         for ps, coeff in element.terms:
@@ -330,6 +342,17 @@ def _check_coefficients(r: np.ndarray, n_qubits: int, physical: bool):
         raise NumericIntegrityError(f"purity {purity!r} exceeds 1")
 
 
+def _check_register(initial: int, h: QubitOperator, n_qubits: int):
+    if h.n_qubits != n_qubits:
+        raise DimensionError(
+            f"hamiltonian on {h.n_qubits} qubits, circuit on {n_qubits}"
+        )
+    if not 0 <= initial < 1 << n_qubits:
+        raise DimensionError(
+            f"basis index {initial} outside register of {n_qubits} qubits"
+        )
+
+
 def noisy_energy(
     initial: int,
     ansatz: Ansatz,
@@ -361,15 +384,7 @@ def noisy_energy(
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown noise scheme {scheme!r}")
     params, n = check_circuit(ansatz, params, n_qubits)
-    if h.n_qubits != n:
-        raise DimensionError(
-            f"hamiltonian on {h.n_qubits} qubits, circuit on {n}"
-        )
-    dim = 1 << n
-    if not 0 <= initial < dim:
-        raise DimensionError(
-            f"basis index {initial} outside register of {n} qubits"
-        )
+    _check_register(initial, h, n)
     check_density_limit(n, dense_limit)
     check_memory(n, PAULI_PEAK_BYTES)
     grid = _Grid(n, [ps.x_mask for element in ansatz.elements
@@ -377,3 +392,58 @@ def noisy_energy(
     r = _evolve(grid, initial, ansatz, params, 1.0 - 4.0 * p / 3.0, scheme)
     _check_coefficients(r.reshape(-1), n, 0.0 <= p <= 1.0)
     return _energy(r, grid, h)
+
+
+def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
+    """E_U and, per channel slot in circuit order, the (X, Y, Z) energy
+    shifts of its strings on a noiseless circuit, from one forward pass of
+    r and one backward (adjoint) pass (Jones & Gacon, arXiv:2009.02823).
+
+    ``steps`` walks the circuit as (terms, before, after): (P, phi) pairs
+    run as exp(i phi P), and ``channel_slot`` slots acting before or after
+    them. A string sigma flips the sign of every r_P whose P anticommutes
+    with it, so it shifts the energy by -2 sum h_P r_P over those P, with h
+    the Heisenberg-evolved H there. Term maps are orthogonal: the backward
+    pass un-rotates r beside h by R_P(-phi), with no checkpoint.
+    """
+    _check_register(initial, h, n_qubits)
+    check_memory(n_qubits, PAULI_PEAK_BYTES)
+    coeffs = np.fromiter(h.terms.values(), complex, len(h.terms))
+    if np.abs(coeffs.imag).max(initial=0.0) > IMAG_TOL:
+        raise NumericIntegrityError("hamiltonian has a complex coefficient")
+    grid = _Grid(n_qubits, [ps.x_mask for terms, _, _ in steps
+                            for ps, _ in terms])
+    r, partner, index = _determinant(grid, initial)
+    for terms, _, _ in steps:
+        for ps, phi in terms:
+            _apply_term(r, partner, index, grid, ps, phi, 1.0, False)
+    _check_coefficients(r.reshape(-1), n_qubits, physical=True)
+    hw = np.zeros_like(r)  # strings outside the span meet r = 0
+    for ps, coeff in zip(h.terms, coeffs.real.tolist()):
+        if ps.x_mask in grid.coordinate:
+            hw[ps.z_mask, grid.coordinate[ps.x_mask]] = coeff
+    e_unperturbed = float(np.sum(hw * r))
+    shifts = []  # last slot first
+    for terms, before, after in reversed(steps):
+        shifts.append(_score(grid, hw, r, after))
+        for ps, phi in reversed(terms):
+            for v in (r, hw):
+                _apply_term(v, partner, index, grid, ps, -phi, 1.0, False)
+        shifts.append(_score(grid, hw, r, before))
+    return e_unperturbed, np.concatenate([np.empty((0, 3)), *shifts[::-1]])
+
+
+def _score(grid, hw, r, slots):
+    """-2 sum of h o r over the strings that anticommute with each slot
+    string, one (X, Y, Z) row per slot: with R and C the parities of
+    z & sx (rows) and table[c] & sz (columns), those are R + C - 2 R C."""
+    if not slots:
+        return np.empty((0, 3))
+    hr = hw * r
+    moved = np.array([m for _, _, strings in slots for masks in strings
+                      for m in masks]).reshape(-1, 2)
+    rows = _parity(grid.register, moved[:, 0]).astype(float)
+    cols = _parity(grid.table, moved[:, 1]).astype(float)
+    both = np.einsum("jc,cj->j", rows.T @ hr, cols)
+    anticommuting = hr.sum(axis=1) @ rows + hr.sum(axis=0) @ cols - 2.0 * both
+    return -2.0 * anticommuting.reshape(-1, 3)

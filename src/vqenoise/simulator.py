@@ -1,6 +1,6 @@
 """Dual-backend quantum register with depolarizing noise.
 
-Noiseless and perturbation runs use a state-vector backend; noisy runs use
+Noiseless runs use a state-vector backend; noisy runs use
 a dense density matrix, which evolves through the same state-vector
 kernels: rho <- U rho U+ takes U on every column of rho and U* on every
 row. Gates and channels work in place on rho's flat index (row bits above
@@ -8,9 +8,8 @@ column bits) through scratch the caller owns, bit-identical to the
 allocating forms the tests keep as oracles; a CNOT swaps the target-bit
 halves where the control bit is 1. Ansatz elements evolve either exactly
 (each Pauli term of the generator applied as a cosine/sine rotation by
-the one kernel
-``apply_rotations_to_rows``, which ``apply_element`` and the
-susceptibility engine in ``analysis`` share) or through their staircase
+the one kernel ``apply_rotations_to_rows``, which ``apply_element`` and
+the adjoint gradient in ``adapt`` share) or through their staircase
 gate decomposition; the two agree because every bundled generator has
 mutually commuting terms, which the test suite verifies against dense
 matrix exponentials.

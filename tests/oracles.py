@@ -261,6 +261,105 @@ def susceptibility_oracle(gates, slots, n_qubits, h_matrix, reference):
     return out
 
 
+def batched_susceptibility_oracle(ansatz, params, h, reference, scheme):
+    """``noise_susceptibility`` by the batched state-vector engine that
+    produced the chi goldens, kept with its arithmetic unchanged.
+
+    The circuit walks as steps (rotations, before, after): rotations from
+    ``pauli_rotations`` and channel slots whose three strings P act on
+    the clean state before or after them, each shift repeated count
+    times. Every P psi is a row of a (k, 2^n) block of at most max(2^n,
+    one step's rows) that crosses later rotations; before a step that
+    would overflow it, the block is carried to the end, scored with the
+    dense matrix of H and dropped.
+    """
+    from vqenoise.analysis import SIGMAS, SusceptibilityReport
+    from vqenoise.exceptions import DimensionError, NumericIntegrityError
+    from vqenoise.operators import (
+        IMAG_TOL, PauliString, expectation, pauli_action,
+    )
+    from vqenoise.pauli_transfer import channel_slot, term_slots
+    from vqenoise.simulator import (
+        QuantumState, apply_rotations_to_rows, check_circuit, pauli_rotations,
+    )
+
+    params, n_qubits = check_circuit(ansatz, params)
+    pairs = list(zip(ansatz.elements, params.tolist()))
+    if scheme == "gate_by_gate":
+        steps = [(pauli_rotations([term], theta), *term_slots(term[0]))
+                 for element, theta in pairs for term in element.terms]
+    else:
+        steps = [(pauli_rotations(element.terms, theta), [],
+                  [channel_slot(q, count) for q, count in element.cnot_schedule])
+                 for element, theta in pairs]
+    if h.n_qubits != n_qubits:
+        raise DimensionError(
+            f"hamiltonian on {h.n_qubits} qubits, circuit on {n_qubits}"
+        )
+    dim = 1 << n_qubits
+    state = QuantumState.from_basis_index(reference, n_qubits)
+    sizes = [3 * (len(before) + len(after)) for _, before, after in steps]
+    cap = min(max([dim] + sizes), sum(sizes))
+    chunk = max(1, (1 << 13) // dim)  # rows per gather: 128 KiB stays in cache
+    block = np.empty((cap, dim), dtype=complex)
+    gathered = np.empty((chunk, dim), dtype=complex)  # the gathers' scratch
+    # one (qubit, index of its X row among all rows) per CNOT position
+    positions, energies, used = [], [], 0
+
+    def perturb(qubit, count, masks):
+        nonlocal used
+        positions.extend([(qubit, len(energies) + used)] * count)
+        for x, z in masks:
+            ps = PauliString.from_masks(x, z, n_qubits)
+            targets, phases = pauli_action(ps)
+            np.multiply(phases[targets], state.data[targets], out=block[used])
+            used += 1
+
+    def carry(rows, rotations, score=False):
+        """Evolve rows through rotations, a chunk at a time; score them."""
+        for low in range(0, len(rows), chunk):
+            part = rows[low:low + chunk]
+            apply_rotations_to_rows(part, rotations, gathered[:len(part)])
+            if score:
+                # <H r|r> is the conjugate of <r|H|r>: conjugate H r in place
+                h_part = h.matrix() @ part.T
+                values = np.einsum(
+                    "ik,ki->k", np.conjugate(h_part, out=h_part), part
+                )
+                if np.abs(values.imag).max() > IMAG_TOL:
+                    raise NumericIntegrityError(
+                        "perturbed energy has imaginary residue"
+                    )
+                energies.extend(values.real.tolist())
+
+    for index, (rotations, before, after) in enumerate(steps):
+        if used + sizes[index] > cap:
+            later = [rotation for step in steps[index:] for rotation in step[0]]
+            carry(block[:used], later, score=True)
+            used = 0
+        for slot in before:
+            perturb(*slot)
+        carry(block[:used], rotations)
+        carry(state.data[None], rotations)
+        for slot in after:
+            perturb(*slot)
+    carry(block[:used], [], score=True)
+    e_unperturbed = expectation(h, state)
+
+    fluctuations = [
+        (position, qubit, sigma, energies[row + j] - e_unperturbed)
+        for position, (qubit, row) in enumerate(positions)
+        for j, sigma in enumerate(SIGMAS)
+    ]
+    n_ii = len(positions)
+    delta_e = float(np.mean([f[3] for f in fluctuations])) if n_ii else 0.0
+    return SusceptibilityReport(
+        chi=delta_e * n_ii, delta_e=delta_e, n_ii=n_ii,
+        e_unperturbed=e_unperturbed, fluctuations=tuple(fluctuations),
+        delta_e_defined=n_ii > 0,
+    )
+
+
 # The allocating gate, channel and element kernels that ``simulator``'s
 # in-place ones replaced, kept verbatim: the in-place kernels must equal
 # them bit for bit (np.array_equal), not just to a tolerance.

@@ -31,6 +31,7 @@ from vqenoise.exceptions import (
 )
 from vqenoise.operators import PauliString, QubitOperator, expectation
 from vqenoise.simulator import (
+    PAULI_PEAK_BYTES,
     NoiseModel,
     QuantumState,
     apply_depolarizing,
@@ -171,7 +172,7 @@ def assert_matches_oracle(report, expected):
 
 
 class TestEngineOracle:
-    """The batched engine against dense-matrix replays of every slot."""
+    """The adjoint grid pass against dense-matrix replays of every slot."""
 
     @pytest.mark.parametrize("scheme", ["gate_by_gate", "element_by_element"])
     @pytest.mark.parametrize("pool", ["qeb", "fermionic", "qubit_pauli"])
@@ -185,17 +186,19 @@ class TestEngineOracle:
         params = optimize_parameters(
             ansatz, np.zeros(ansatz.n_params), h2.hamiltonian, hf
         ).x
-        # the circuit twice over, so that both schemes fill several blocks
+        # the circuit twice over, so that under both schemes the batched
+        # engine that made the chi goldens (``batched_susceptibility_oracle``)
+        # would fill several blocks
         doubled = Ansatz.from_elements(ansatz.elements * 2)
         thetas = np.concatenate([params, 0.5 - params])
-        # rows per engine step: a Pauli term (gate_by_gate) or an element
+        # slot strings per step: a Pauli term (gate_by_gate) or an element
         if scheme == "gate_by_gate":
             per_step = [6 * (ps.weight - 1)
                         for e in doubled.elements for ps, _ in e.terms]
         else:
             per_step = [3 * len(e.cnot_schedule) for e in doubled.elements]
-        # more rows than one block holds; in gate_by_gate a single step
-        # also outgrows 2^n
+        # more strings than one of that engine's blocks holds; in
+        # gate_by_gate a single step also outgrows 2^n
         assert sum(per_step) > max([2 ** h2.n_qubits] + per_step)
         if scheme == "gate_by_gate":
             assert max(per_step) > 2 ** h2.n_qubits
@@ -310,6 +313,17 @@ class TestNoiseSusceptibility:
             chi_from_density_derivative(
                 ansatz, params, h2.hamiltonian, hf, scheme="bogus"
             )
+
+    def test_memory_refused_before_allocating(self, h2, qeb_h2,
+                                              physical_memory):
+        # the same rule as every Pauli-coefficient run (noisy_energy)
+        ansatz, params, hf, _ = qeb_h2
+        estimate = PAULI_PEAK_BYTES * 4**h2.n_qubits
+        physical_memory(estimate - 4096)
+        with pytest.raises(ResourceLimitError):
+            noise_susceptibility(ansatz, params, h2.hamiltonian, hf)
+        physical_memory(estimate)
+        noise_susceptibility(ansatz, params, h2.hamiltonian, hf)
 
     def test_density_derivative_checks_memory(self, h2, qeb_h2, physical_memory):
         ansatz, params, hf, _ = qeb_h2

@@ -10,7 +10,9 @@ import pytest
 
 import vqenoise.pauli_transfer as pauli_transfer
 from vqenoise.adapt import AdaptConfig, adapt_run, truncation_prefixes
-from vqenoise.analysis import DERIVATIVE_STEP, sweep_noise
+from vqenoise.analysis import (
+    DERIVATIVE_STEP, noise_susceptibility, sweep_noise,
+)
 from vqenoise.ansatz import (
     Ansatz, build_pool, build_uccsd, hartree_fock_index,
 )
@@ -37,6 +39,7 @@ from vqenoise.simulator import (
 )
 
 from oracles import (
+    batched_susceptibility_oracle,
     depolarizing_oracle,
     gate_unitary,
     kron_pauli,
@@ -223,6 +226,27 @@ def test_span_run_is_bit_identical_to_full_register(circuits, name, scheme,
     energy = _energy(r_span, span, h)
     assert energy == _energy(r_full, full, h)
     assert noisy_energy(reference, ansatz, params, h, p, scheme) == energy
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", ["h4_qeb_frozen", "h4_fermionic"])
+def test_adjoint_chi_matches_batched_engine(circuits, name, scheme):
+    """The forward and backward grid pass scores every slot as the batched
+    state-vector engine, which replays each perturbed state, does."""
+    problem, ansatz, params = circuits[name]
+    h = problem.hamiltonian
+    reference = hartree_fock_index(problem.n_electrons)
+    report = noise_susceptibility(ansatz, params, h, reference, scheme)
+    engine = batched_susceptibility_oracle(ansatz, params, h, reference,
+                                           scheme)
+    assert [f[:3] for f in report.fluctuations] \
+        == [f[:3] for f in engine.fluctuations]
+    assert report.n_ii == engine.n_ii > 0
+    worst = max(abs(got[3] - want[3]) for got, want
+                in zip(report.fluctuations, engine.fluctuations))
+    assert worst <= 1e-12
+    pure = expectation(h, run_circuit(reference, ansatz, params))
+    assert abs(report.e_unperturbed - pure) <= 1e-12
 
 
 def test_run_allocates_no_full_register_array(circuits):

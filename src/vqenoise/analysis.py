@@ -4,12 +4,12 @@ The susceptibility chi of a circuit is the first-order response of its
 energy to the per-CNOT depolarizing probability: insert one Pauli after
 one CNOT, finish the circuit, and average the energy fluctuations over
 the three Paulis and all CNOT positions (delta_E); then
-chi = delta_E x N_II with N_II the CNOT count. Both noise schemes walk
-the circuit as steps: Pauli rotations (a term or an element) with slots
-before and after them; a gate_by_gate slot's Pauli reaches its term's
-boundary through the Clifford gates around the Rz
-(``pauli_transfer.term_slots``). Every slot is scored in one forward and
-one backward pass on the noiseless circuit's Pauli coefficients
+chi = delta_E x N_II with N_II the CNOT count. ``pauli_transfer``
+builds the circuit's steps for either scheme (``circuit_steps``): Pauli
+rotations (a term or an element) with slots before and after them, a
+gate_by_gate slot's Pauli moved to its term's boundary. Every slot is
+scored in one forward and one backward pass on the noiseless circuit's
+Pauli coefficients, one product per slot boundary
 (``pauli_transfer.slot_shifts``): no perturbed state is ever evolved and
 no gate is applied.
 
@@ -32,7 +32,7 @@ import numpy as np
 from .ansatz import Ansatz
 from .exceptions import ConfigError, DimensionError, VqeNoiseError
 from .operators import QubitOperator, expectation
-from .pauli_transfer import channel_slot, noisy_energy, slot_shifts, term_slots
+from .pauli_transfer import circuit_steps, noisy_energy, slot_shifts
 from .simulator import (
     DENSITY_LIMIT_DEFAULT, SCHEMES, check_circuit, run_circuit,
 )
@@ -140,23 +140,14 @@ def noise_susceptibility(
     """Linear noise response of an ansatz circuit at fixed parameters.
 
     The gate_by_gate scheme perturbs after every CNOT of the compiled
-    staircase, each slot moved to its Pauli term's boundary
-    (``term_slots``); element_by_element perturbs at that scheme's channel
-    slots after each element instead. Both score every slot in one
-    forward and one backward pass on Pauli coefficients
+    staircase, each slot moved to its Pauli term's boundary;
+    element_by_element perturbs at that scheme's channel slots after each
+    element instead (``pauli_transfer.circuit_steps``). Both score every
+    slot in one forward and one backward pass on Pauli coefficients
     (``pauli_transfer.slot_shifts``).
     """
     params, n = check_circuit(ansatz, params, n_qubits)
-    pairs = list(zip(ansatz.elements, params.tolist()))
-    if scheme == "gate_by_gate":
-        steps = [([(ps, coeff * theta)], *term_slots(ps))
-                 for element, theta in pairs for ps, coeff in element.terms]
-    elif scheme == "element_by_element":
-        steps = [([(ps, coeff * theta) for ps, coeff in element.terms], [],
-                  [channel_slot(q, count) for q, count in element.cnot_schedule])
-                 for element, theta in pairs]
-    else:
-        raise ConfigError(f"unknown noise scheme {scheme!r}")
+    steps = circuit_steps(ansatz, params, scheme)
     e_unperturbed, shifts = slot_shifts(reference, steps, h, n)
     slots = [slot for _, before, after in steps for slot in (*before, *after)]
     # one (qubit, slot) per CNOT position: a slot stands for count channels

@@ -529,13 +529,16 @@ def jordan_wigner(op: FermionOperator, n_spin_orbitals: int) -> QubitOperator:
         raise DimensionError(
             f"orbital {op.max_orbital} does not fit in {n_spin_orbitals} spin-orbitals"
         )
-    total = QubitOperator.zero(n_spin_orbitals)
+    total: dict[PauliString, complex] = {}
     for coeff, product in op.terms:
         term = QubitOperator.identity(n_spin_orbitals, coeff)
         for orbital, dagger in product:
             term = term * _jw_ladder(orbital, dagger, n_spin_orbitals)
-        total = total + term
-    return total
+        for ps, c in term._terms.items():  # as ``+`` merges, in place
+            total[ps] = total.get(ps, 0.0) + c
+            if abs(total[ps]) < COEFF_TOL:
+                del total[ps]
+    return QubitOperator(n_spin_orbitals, total)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,10 +22,11 @@ mask ``table[c]``, with coordinates as linear as masks (``span_table``).
 Each string's theta- and p-independent codes are kept between runs, up
 to ``CODE_CACHE_BYTES``.
 
-``noisy_energy`` is the fast path of noisy Delta E grids; the dense
-density-matrix kernels of ``simulator`` stay the oracle it is tested
-against, and serve noisy ADAPT. ``slot_shifts`` scores a noiseless
-circuit's channel slots for chi in one forward and one backward pass:
+Only ``circuit_steps`` lays a noise scheme's channels on a circuit, and
+both entry points walk its steps forward on one grid charged to
+``check_memory``. ``noisy_energy``, the fast path of noisy Delta E grids,
+is tested against ``simulator``'s dense kernels, which serve noisy ADAPT;
+``slot_shifts`` scores chi's slots on one backward pass after the walk:
 O(terms x 2^(n+d)), plus one matrix product per slot boundary.
 """
 
@@ -43,7 +44,6 @@ from .simulator import (
     DENSITY_LIMIT_DEFAULT,
     DRIFT_TOL,
     PAULI_PEAK_BYTES,
-    SCHEMES,
     check_circuit,
     check_density_limit,
     check_memory,
@@ -285,27 +285,48 @@ def _apply_channels(r, partner, index, grid, schedule, lam):
     r *= np.take(lam ** e, index, out=partner, mode="clip")
 
 
-def _determinant(grid, initial):
-    """r of the determinant ``initial`` on ``grid``, and the scratch."""
+def circuit_steps(ansatz: Ansatz, params: np.ndarray, scheme: str):
+    """The circuit as steps (terms, before, after): (P, phi) pairs run as
+    exp(i phi P), with ``channel_slot``s before and after them. gate_by_gate
+    takes a step per term, slots by ``term_slots``; element_by_element a
+    step per element, its scheduled channels after it."""
+    pairs = zip(ansatz.elements, params.tolist())
+    if scheme == "gate_by_gate":
+        return [([(ps, coeff * theta)], *term_slots(ps))
+                for element, theta in pairs for ps, coeff in element.terms]
+    if scheme == "element_by_element":
+        return [([(ps, coeff * theta) for ps, coeff in element.terms], [],
+                 [channel_slot(q, count) for q, count in element.cnot_schedule])
+                for element, theta in pairs]
+    raise ConfigError(f"unknown noise scheme {scheme!r}")
+
+
+def _charged_grid(n_qubits: int, steps):
+    """The span grid of the steps' terms, once memory holds PAULI_PEAK_BYTES
+    per grid entry and per support code of the heaviest term."""
+    strings = [ps for terms, _, _ in steps for ps, _ in terms]
+    grid = _Grid(n_qubits, [ps.x_mask for ps in strings])
+    weight = max((ps.weight for ps in strings), default=0)
+    check_memory(n_qubits, PAULI_PEAK_BYTES
+                 * ((len(grid.table) << n_qubits) + 4 ** weight))
+    return grid
+
+
+def _evolve(grid, initial, steps, lam, staircase):
+    """r on ``grid`` after the determinant ``initial`` walks ``steps`` with
+    channels of lam = 1 - 4p/3, and the scratch: a staircase's channels
+    sit in its term factors, otherwise each step's after-slots scale r."""
     shape = (len(grid.register), len(grid.table))
     r, partner = np.zeros(shape), np.empty(shape)
+    index = np.empty(shape, dtype=np.intp)
     r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
-    return r, partner, np.empty(shape, dtype=np.intp)
-
-
-def _evolve(grid, initial, ansatz, params, lam, scheme):
-    """The coefficients on ``grid`` after the determinant ``initial`` runs
-    through the ansatz with channels of lam = 1 - 4p/3."""
-    r, partner, index = _determinant(grid, initial)
-    staircase = scheme == "gate_by_gate"
-    for element, theta in zip(ansatz.elements, params.tolist()):
-        for ps, coeff in element.terms:
-            _apply_term(r, partner, index, grid, ps, coeff * theta, lam,
-                        staircase)
-        if not staircase:
-            _apply_channels(r, partner, index, grid, element.cnot_schedule,
-                            lam)
-    return r
+    for terms, _, after in steps:
+        for ps, phi in terms:
+            _apply_term(r, partner, index, grid, ps, phi, lam, staircase)
+        if not staircase and lam != 1.0:
+            _apply_channels(r, partner, index, grid,
+                            [(qubit, count) for qubit, count, _ in after], lam)
+    return r, partner, index
 
 
 def _energy(r, grid, h: QubitOperator) -> float:
@@ -367,13 +388,11 @@ def noisy_energy(
     under per-CNOT depolarizing probability ``p``, on Pauli coefficients.
 
     The determinant sets r = +-1 on the Z strings and the energy is
-    sum_P h_P r_P. Only the columns of the span of the terms' x masks are
-    held: 2^n x 2^d coefficients, and r_P = 0 for P outside the span.
-    gate_by_gate runs each term as diag(f_post) R_P
-    diag(f_pre), its channels moved to its boundary (``term_slots``);
-    element_by_element runs the element's terms exactly, then scales each
-    r_R by lam to the element's scheduled channels on R's support. Equals
-    ``expectation`` of the ``run_circuit`` density matrix up to rounding.
+    sum_P h_P r_P, read after a forward walk of ``circuit_steps``: a
+    gate_by_gate term runs as diag(f_post) R_P diag(f_pre), its slots in
+    f; element_by_element runs the terms exactly, then scales each r_R by
+    lam to the after-slots on R's support. Equals ``expectation`` of the
+    ``run_circuit`` density matrix up to rounding.
 
     Any finite p runs: outside [0, 1] (the derivative probes of
     ``analysis.chi_from_density_derivative``) the map is not physical and
@@ -381,15 +400,13 @@ def noisy_energy(
     """
     if not math.isfinite(p):
         raise ConfigError(f"gate-error probability {p} is not finite")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown noise scheme {scheme!r}")
     params, n = check_circuit(ansatz, params, n_qubits)
     _check_register(initial, h, n)
     check_density_limit(n, dense_limit)
-    check_memory(n, PAULI_PEAK_BYTES)
-    grid = _Grid(n, [ps.x_mask for element in ansatz.elements
-                     for ps, _ in element.terms])
-    r = _evolve(grid, initial, ansatz, params, 1.0 - 4.0 * p / 3.0, scheme)
+    steps = circuit_steps(ansatz, params, scheme)
+    grid = _charged_grid(n, steps)
+    r, _, _ = _evolve(grid, initial, steps, 1.0 - 4.0 * p / 3.0,
+                      scheme == "gate_by_gate")
     _check_coefficients(r.reshape(-1), n, 0.0 <= p <= 1.0)
     return _energy(r, grid, h)
 
@@ -399,37 +416,34 @@ def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
     shifts of its strings on a noiseless circuit, from one forward pass of
     r and one backward (adjoint) pass (Jones & Gacon, arXiv:2009.02823).
 
-    ``steps`` walks the circuit as (terms, before, after): (P, phi) pairs
-    run as exp(i phi P), and ``channel_slot`` slots acting before or after
-    them. A string sigma flips the sign of every r_P whose P anticommutes
-    with it, so it shifts the energy by -2 sum h_P r_P over those P, with h
-    the Heisenberg-evolved H there. Term maps are orthogonal: the backward
-    pass un-rotates r beside h by R_P(-phi), with no checkpoint.
+    ``steps`` walk the circuit as ``circuit_steps`` lays it out. A string
+    sigma flips the sign of every r_P whose P anticommutes with it, so it
+    shifts the energy by -2 sum h_P r_P over those P, with h the
+    Heisenberg-evolved H there. Term maps are orthogonal: the backward
+    pass un-rotates r beside h by R_P(-phi), with no checkpoint, and
+    scores a step's after-slots with the next step's before-slots, one
+    ``_score`` per boundary.
     """
     _check_register(initial, h, n_qubits)
-    check_memory(n_qubits, PAULI_PEAK_BYTES)
     coeffs = np.fromiter(h.terms.values(), complex, len(h.terms))
     if np.abs(coeffs.imag).max(initial=0.0) > IMAG_TOL:
         raise NumericIntegrityError("hamiltonian has a complex coefficient")
-    grid = _Grid(n_qubits, [ps.x_mask for terms, _, _ in steps
-                            for ps, _ in terms])
-    r, partner, index = _determinant(grid, initial)
-    for terms, _, _ in steps:
-        for ps, phi in terms:
-            _apply_term(r, partner, index, grid, ps, phi, 1.0, False)
+    grid = _charged_grid(n_qubits, steps)
+    r, partner, index = _evolve(grid, initial, steps, 1.0, False)
     _check_coefficients(r.reshape(-1), n_qubits, physical=True)
     hw = np.zeros_like(r)  # strings outside the span meet r = 0
     for ps, coeff in zip(h.terms, coeffs.real.tolist()):
         if ps.x_mask in grid.coordinate:
             hw[ps.z_mask, grid.coordinate[ps.x_mask]] = coeff
     e_unperturbed = float(np.sum(hw * r))
-    shifts = []  # last slot first
+    shifts, following = [], []  # last boundary first
     for terms, before, after in reversed(steps):
-        shifts.append(_score(grid, hw, r, after))
+        shifts.append(_score(grid, hw, r, [*after, *following]))
         for ps, phi in reversed(terms):
             for v in (r, hw):
                 _apply_term(v, partner, index, grid, ps, -phi, 1.0, False)
-        shifts.append(_score(grid, hw, r, before))
+        following = before
+    shifts.append(_score(grid, hw, r, following))
     return e_unperturbed, np.concatenate([np.empty((0, 3)), *shifts[::-1]])
 
 

@@ -50,9 +50,9 @@ VALIDATE_TOL = 1e-10
 # Peak live 4^n complex arrays of a density-matrix run, rounded up from the
 # 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
-# Peak bytes per 4^n entry of a Pauli-coefficient run (``noisy_energy``),
-# from 58.3 traced when runs held all 4^n; an upper bound now that a run
-# holds 2^n x 2^d, d <= n, and well above 45.8 per 2^(n+d) on H4 qeb.
+# Peak bytes per entry of a Pauli-coefficient run's 2^n x 2^d grid and of
+# its heaviest term's 4^w support codes: traced peaks are 45.8 per grid
+# entry (H4 qeb) and 18.0 to 28.4 per code (weights 11 to 6).
 PAULI_PEAK_BYTES = 64
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -469,20 +469,20 @@ def cnot_count(ansatz: Ansatz) -> int:
     return sum(e.cnot_count for e in ansatz.elements)
 
 
-def check_memory(
-    n_qubits: int, bytes_per_entry: int = DENSITY_PEAK_COPIES * 16
-):
-    """Refuse, before allocating, a run on 4^n entries (a density matrix
-    or its Pauli coefficients) that would outgrow physical memory."""
+def check_memory(n_qubits: int, need: int | None = None):
+    """Refuse, before allocating, an n-qubit run whose stated peak of
+    ``need`` bytes would outgrow physical memory; by default a density
+    matrix's, DENSITY_PEAK_COPIES complex arrays of 4^n entries."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf reading
         return
-    need = bytes_per_entry * 4 ** n_qubits
+    if need is None:
+        need = DENSITY_PEAK_COPIES * 16 * 4 ** n_qubits
     if need > have:
         raise ResourceLimitError(
-            f"{n_qubits}-qubit density-matrix runs need about "
-            f"{need / 2**30:.1f} GiB of {have / 2**30:.1f} GiB memory"
+            f"{n_qubits}-qubit run needs about {need / 2**30:.1f} GiB "
+            f"of {have / 2**30:.1f} GiB memory"
         )
 
 

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's bitmask Pauli algebra
 and Jordan-Wigner pipeline: matrices are built from explicit Kronecker
 products and occupation-basis ladder actions so that agreement between
-the two routes is meaningful evidence.
+the two routes is meaningful evidence. The exceptions are bit-level
+references, slower routes through the package's own algebra that a fast
+path must match exactly (``jordan_wigner_by_sums``).
 """
 
 import numpy as np
@@ -93,6 +95,30 @@ def fermion_operator_matrix(op, n_spin_orbitals: int) -> np.ndarray:
                 sign, j2 = hit
                 m[j2, j] += coeff * sign
     return m
+
+
+def jordan_wigner_by_sums(op, n_spin_orbitals: int):
+    """``jordan_wigner`` as a sum of operators: each product's image is
+    added with ``QubitOperator.__add__``, which rebuilds the sum. The
+    package's in-place accumulation must give the same terms, in the same
+    order, with the same bits."""
+    from vqenoise.operators import PauliString, QubitOperator
+
+    def ladder(orbital, dagger):
+        chain = (1 << orbital) - 1
+        return QubitOperator(n_spin_orbitals, {
+            PauliString.from_masks(1 << orbital, chain, n_spin_orbitals): 0.5,
+            PauliString.from_masks(1 << orbital, chain | 1 << orbital,
+                                   n_spin_orbitals): -0.5j if dagger else 0.5j,
+        })
+
+    total = QubitOperator.zero(n_spin_orbitals)
+    for coeff, product in op.terms:
+        term = QubitOperator.identity(n_spin_orbitals, coeff)
+        for orbital, dagger in product:
+            term = term * ladder(orbital, dagger)
+        total = total + term
+    return total
 
 
 def molecular_hamiltonian_matrix(ints) -> np.ndarray:

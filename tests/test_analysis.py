@@ -30,6 +30,7 @@ from vqenoise.exceptions import (
     ResourceLimitError,
 )
 from vqenoise.operators import PauliString, QubitOperator, expectation
+from vqenoise.pauli_transfer import span_table
 from vqenoise.simulator import (
     PAULI_PEAK_BYTES,
     NoiseModel,
@@ -318,7 +319,11 @@ class TestNoiseSusceptibility:
                                               physical_memory):
         # the same rule as every Pauli-coefficient run (noisy_energy)
         ansatz, params, hf, _ = qeb_h2
-        estimate = PAULI_PEAK_BYTES * 4**h2.n_qubits
+        strings = [ps for element in ansatz.elements
+                   for ps, _ in element.terms]
+        estimate = PAULI_PEAK_BYTES * (
+            len(span_table(ps.x_mask for ps in strings)) * 2**h2.n_qubits
+            + 4 ** max(ps.weight for ps in strings))
         physical_memory(estimate - 4096)
         with pytest.raises(ResourceLimitError):
             noise_susceptibility(ansatz, params, h2.hamiltonian, hf)

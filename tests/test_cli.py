@@ -204,7 +204,7 @@ class TestExitCodes:
             "--workers", "1", "--out", str(tmp_path),
         )
         assert code == EXIT_RESOURCE
-        assert "density-matrix runs need" in capsys.readouterr().err
+        assert "4-qubit run needs" in capsys.readouterr().err
 
 
 class TestFciCommand:

@@ -1,5 +1,5 @@
-"""Every import in the package and the test suite is read somewhere, and
-no package module imports a sibling's private name."""
+"""Every import in the package, the test suite and the tools is read
+somewhere, and no package module imports a sibling's private name."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # __init__.py is left out: its imports are the package's exports.
 MODULES = sorted(
     path for path in [*(ROOT / "src" / "vqenoise").glob("*.py"),
-                      *(ROOT / "tests").glob("*.py")]
+                      *(ROOT / "tests").glob("*.py"),
+                      *(ROOT / "tools").glob("*.py")]
     if path.name != "__init__.py"
 )
 

@@ -7,10 +7,12 @@ import pytest
 
 from oracles import (
     fermion_operator_matrix,
+    jordan_wigner_by_sums,
     kron_pauli,
     ladder_matrix,
     qubit_operator_matrix,
 )
+from vqenoise.chem import BUNDLED_MOLECULES, load_bundled
 from vqenoise.exceptions import (
     DimensionError,
     NumericIntegrityError,
@@ -339,6 +341,15 @@ class TestJordanWigner:
                 fermion_operator_matrix(op, n),
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("name", BUNDLED_MOLECULES)
+    def test_accumulation_matches_sums_bit_for_bit(self, name):
+        problem = load_bundled(name)
+        fast, summed = (
+            list(image(problem.fermionic, problem.n_qubits).terms.items())
+            for image in (jordan_wigner, jordan_wigner_by_sums))
+        assert fast == summed
+        assert [repr(c) for _, c in fast] == [repr(c) for _, c in summed]
 
 
 class TestExactSpectrum:

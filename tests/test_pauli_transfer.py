@@ -14,7 +14,7 @@ from vqenoise.analysis import (
     DERIVATIVE_STEP, noise_susceptibility, sweep_noise,
 )
 from vqenoise.ansatz import (
-    Ansatz, build_pool, build_uccsd, hartree_fock_index,
+    Ansatz, AnsatzElement, build_pool, build_uccsd, hartree_fock_index,
 )
 from vqenoise.cli import EXIT_NUMERIC, main
 from vqenoise.exceptions import (
@@ -23,7 +23,7 @@ from vqenoise.exceptions import (
     NumericIntegrityError,
     ResourceLimitError,
 )
-from vqenoise.operators import PauliString, expectation
+from vqenoise.operators import PauliString, QubitOperator, expectation
 from vqenoise.pauli_transfer import (
     _apply_channels,
     _apply_term,
@@ -31,6 +31,7 @@ from vqenoise.pauli_transfer import (
     _energy,
     _evolve,
     _Grid,
+    circuit_steps,
     noisy_energy,
     span_table,
 )
@@ -216,8 +217,10 @@ def test_span_run_is_bit_identical_to_full_register(circuits, name, scheme,
     span = _Grid(n, [ps.x_mask for element in ansatz.elements
                      for ps, _ in element.terms])
     full = _Grid(n, range(1 << n))
+    steps = circuit_steps(ansatz, params, scheme)
     r_span, r_full = (
-        _evolve(on, reference, ansatz, params, 1.0 - 4.0 * p / 3.0, scheme)
+        _evolve(on, reference, steps, 1.0 - 4.0 * p / 3.0,
+                scheme == "gate_by_gate")[0]
         for on in (span, full))
     assert len(span.table) < len(full.table)
     assert r_span.tobytes() == r_full[:, span.table].tobytes()
@@ -247,6 +250,22 @@ def test_adjoint_chi_matches_batched_engine(circuits, name, scheme):
     assert worst <= 1e-12
     pure = expectation(h, run_circuit(reference, ansatz, params))
     assert abs(report.e_unperturbed - pure) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_each_slot_boundary_scored_once(circuits, scheme, monkeypatch):
+    """K steps have K + 1 slot boundaries, each scored by one ``_score``."""
+    problem, ansatz, params = circuits["h4_qeb_frozen"]
+    score, calls = pauli_transfer._score, []
+
+    def counted(*args):
+        calls.append(args)
+        return score(*args)
+
+    monkeypatch.setattr(pauli_transfer, "_score", counted)
+    noise_susceptibility(ansatz, params, problem.hamiltonian,
+                         hartree_fock_index(problem.n_electrons), scheme)
+    assert len(calls) == len(circuit_steps(ansatz, params, scheme)) + 1
 
 
 def test_run_allocates_no_full_register_array(circuits):
@@ -340,12 +359,39 @@ class TestInputs:
     def test_memory_refused_before_allocating(self, circuits, h2,
                                               physical_memory):
         _, ansatz, params = circuits["h2_qeb"]
-        estimate = PAULI_PEAK_BYTES * 4**h2.n_qubits
+        strings = [ps for element in ansatz.elements
+                   for ps, _ in element.terms]
+        estimate = PAULI_PEAK_BYTES * (
+            len(span_table(ps.x_mask for ps in strings)) * 2**h2.n_qubits
+            + 4 ** max(ps.weight for ps in strings))
         physical_memory(estimate - 4096)
         with pytest.raises(ResourceLimitError):
             noisy_energy(3, ansatz, params, h2.hamiltonian, 1e-3)
         physical_memory(estimate)
         noisy_energy(3, ansatz, params, h2.hamiltonian, 1e-3)
+
+    def test_fourteen_qubit_grid_runs_on_eight_gigabytes(self,
+                                                         physical_memory):
+        """A grid run is charged its 2^n x 2^d grid and its heaviest term's
+        4^w codes, not 4^n: with d = 1 and w = 2, 14 qubits run where 64 B
+        per 4^14 entries would not fit."""
+        n = 14
+        h = QubitOperator.from_term(PauliString({0: "Z"}, n))
+        gen = QubitOperator.from_term(PauliString({0: "X", 1: "Y"}, n), 1j)
+        ansatz = Ansatz.from_elements([AnsatzElement(generator=gen,
+                                                     label="xy")])
+        runs = (
+            lambda: noisy_energy(0, ansatz, [0.3], h, 1e-3, dense_limit=n),
+            lambda: noise_susceptibility(ansatz, [0.3], h, 0),
+        )
+        physical_memory(8 * 10**9)
+        for run in runs:
+            run()
+        charge = PAULI_PEAK_BYTES * (2 ** (n + 1) + 4**2)
+        physical_memory(charge - 4096)
+        for run in runs:
+            with pytest.raises(ResourceLimitError):
+                run()
 
     def test_bad_inputs(self, circuits, h2, h4):
         _, ansatz, params = circuits["h2_qeb"]

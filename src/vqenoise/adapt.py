@@ -13,7 +13,10 @@ shrunk-simplex restarts, and BFGS with a backtracking Armijo line search.
 A noiseless objective hands them its exact adjoint gradient: one forward
 pass, then one backward sweep that un-applies each element from the
 state and from H|psi> (Jones and Gacon, arXiv:2009.02823). Noisy
-objectives and energy-rule screening use central finite differences.
+objectives and energy-rule screening use central finite differences of
+``pauli_transfer.noisy_energy``, each energy one walk over the circuit's
+Pauli-transfer grid. The dense density matrix of ``run_circuit`` serves
+only the noisy pool gradients (``finite_difference_pool_gradients``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .exceptions import (
     VqeNoiseError,
 )
 from .operators import QubitOperator, apply_operator, expectation, pauli_action
+from .pauli_transfer import noisy_energy
 from .simulator import (
     DENSITY_LIMIT_DEFAULT,
     NOISELESS,
@@ -113,9 +117,11 @@ class AdaptConfig:
 @dataclass(frozen=True, eq=False)
 class AdaptIteration:
     """One accepted growth step: chosen element, re-optimized parameters,
-    energy, the full pool-gradient vector, the running CNOT count, and the
+    energy, the full pool-gradient vector, the running CNOT count, the
     re-optimization's convergence flag, energy-evaluation and
-    gradient-evaluation counts."""
+    gradient-evaluation counts, and the energy rule's (pool index,
+    screened energy) pairs in screening order (empty under the gradient
+    rule)."""
 
     label: str
     params: tuple[float, ...]
@@ -125,6 +131,8 @@ class AdaptIteration:
     converged: bool
     n_evaluations: int
     n_gradients: int
+    screened_energies: tuple[tuple[int, float], ...] = field(
+        default=(), repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,8 +379,10 @@ def optimize_parameters(
     """Minimize the circuit energy over all ansatz parameters.
 
     Deterministic given identical inputs; ``converged`` reports whether
-    the gradient norm reached ``eps_opt``. The gradient is the exact
-    adjoint one without noise and central differences with it.
+    the gradient norm reached ``eps_opt``. Without noise the energy is
+    read from the state vector and the gradient is the exact adjoint one;
+    with noise the energy is ``noisy_energy`` on the Pauli-transfer grid
+    and the gradient central differences of it.
     """
     params0 = np.asarray(params0, dtype=float)
     if not np.all(np.isfinite(params0)):
@@ -380,19 +390,24 @@ def optimize_parameters(
     if optimizer not in _OPTIMIZER_FUNCTIONS:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
 
-    def run(params):
-        return run_circuit(
-            reference, ansatz, params, noise=noise,
-            n_qubits=n_qubits, dense_limit=dense_limit,
-        )
+    if noise.is_noisy:
+        gradient = None
 
-    gradient = None
-    if not noise.is_noisy:
+        def fun(params):
+            return noisy_energy(reference, ansatz, params, h, noise.p,
+                                noise.scheme, n_qubits, dense_limit)
+    else:
+        def run(params):
+            return run_circuit(
+                reference, ansatz, params, noise=noise,
+                n_qubits=n_qubits, dense_limit=dense_limit,
+            )
+
         run = _reuse_last(run)  # the gradient starts where fun just ran
         gradient = _adjoint_gradient(ansatz, h, run)
 
-    def fun(params):
-        return expectation(h, run(params))
+        def fun(params):
+            return expectation(h, run(params))
 
     return _OPTIMIZER_FUNCTIONS[optimizer](
         fun, params0, grad_tol=eps_opt, gradient=gradient
@@ -535,10 +550,32 @@ def select_energy_rule(
     """Screen the largest-|gradient| subpool by single-angle optimization.
 
     Each candidate's new angle is optimized from zero with all prior
-    parameters frozen (the state is already evolved); the candidate with
-    the lowest screened energy wins. Ties keep the earlier candidate in
-    gradient order.
+    parameters frozen (the state is already evolved, and each trial
+    applies the candidate to a copy of it); the candidate with the lowest
+    screened energy wins. Ties keep the earlier candidate in gradient
+    order.
     """
+    return _screen(_appended_energy(state, h, noise), pool, gradients,
+                   subpool_size, optimizer, eps_opt)[0]
+
+
+def _appended_energy(state: QuantumState, h: QubitOperator,
+                     noise: NoiseModel):
+    """energy(element, theta) after ``element`` at ``theta`` acts on a copy
+    of ``state``."""
+    def energy(element, theta):
+        trial = state.copy()
+        apply_noisy_element(trial, element, theta, noise)
+        return expectation(h, trial)
+
+    return energy
+
+
+def _screen(energy, pool: Pool, gradients, subpool_size: int,
+            optimizer: str, eps_opt: float):
+    """The energy rule on ``energy(element, theta)``: the chosen pool index
+    and the (pool index, screened energy) pair of every candidate whose
+    optimization finished, in screening order."""
     grads = np.abs(np.asarray(gradients, dtype=float))
     if grads.size != len(pool):
         raise DimensionError(
@@ -548,26 +585,26 @@ def select_energy_rule(
     candidates = np.argsort(-grads, kind="stable")[:subpool_size]
     best_index = -1
     best_energy = np.inf
-    for index in candidates:
-        element = pool.elements[int(index)]
+    screened = []
+    for index in candidates.tolist():
+        element = pool.elements[index]
 
-        def screened(theta_vec, element=element):
-            trial = state.copy()
-            apply_noisy_element(trial, element, float(theta_vec[0]), noise)
-            return expectation(h, trial)
+        def trial(theta_vec, element=element):
+            return energy(element, float(theta_vec[0]))
 
         try:
             result = _OPTIMIZER_FUNCTIONS[optimizer](
-                screened, np.zeros(1), grad_tol=eps_opt
+                trial, np.zeros(1), grad_tol=eps_opt
             )
         except NumericIntegrityError:
             continue
+        screened.append((index, float(result.energy)))
         if result.energy < best_energy:
             best_energy = result.energy
-            best_index = int(index)
+            best_index = index
     if best_index < 0:
         raise StalledError("every screening optimization failed")
-    return best_index
+    return best_index, screened
 
 
 def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
@@ -587,21 +624,23 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
     ansatz = Ansatz()
     params = np.zeros(0)
 
-    initial_state = run_circuit(
-        reference, ansatz, params, noise=config.noise,
-        n_qubits=problem.n_qubits, dense_limit=config.dense_limit,
-    )
-    energy = expectation(h, initial_state)
+    def run(ansatz, params):
+        return run_circuit(
+            reference, ansatz, params, noise=config.noise,
+            n_qubits=problem.n_qubits, dense_limit=config.dense_limit,
+        )
+
+    # nothing below writes to a state, so the first iteration reuses it
+    state = run(ansatz, params)
+    energy = expectation(h, state)
     initial_energy = energy
 
     iterations: list[AdaptIteration] = []
     status = "max_iterations"
     for iteration in range(1, config.max_iterations + 1):
         try:
-            state = run_circuit(
-                reference, ansatz, params, noise=config.noise,
-                n_qubits=problem.n_qubits, dense_limit=config.dense_limit,
-            )
+            if ansatz.elements:
+                state = run(ansatz, params)
             if config.noise.is_noisy:
                 gradients = finite_difference_pool_gradients(
                     state, h, pool, config.noise
@@ -616,13 +655,16 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
                 status = "converged"
                 break
 
+            screened = []
             if config.rule == "gradient":
                 chosen = select_gradient_rule(gradients)
             else:
-                chosen = select_energy_rule(
-                    state, h, pool, gradients, config.subpool_size,
-                    optimizer=config.optimizer, noise=config.noise,
-                    eps_opt=config.eps_opt,
+                chosen, screened = _screen(
+                    _grown_energy(problem, reference, ansatz, params, config)
+                    if config.noise.is_noisy
+                    else _appended_energy(state, h, config.noise),
+                    pool, gradients, config.subpool_size, config.optimizer,
+                    config.eps_opt,
                 )
 
             trial_ansatz = ansatz.append(pool.elements[chosen])
@@ -652,6 +694,7 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
             converged=bool(result.converged),
             n_evaluations=int(result.n_evaluations),
             n_gradients=int(result.n_gradients),
+            screened_energies=tuple(screened),
         ))
         if not config.noise.is_noisy and \
                 energy - problem.fci_energy < config.eps_truncation:
@@ -667,6 +710,20 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
         iterations=tuple(iterations),
         status=status,
     )
+
+
+def _grown_energy(problem, reference: int, ansatz: Ansatz, params,
+                  config: AdaptConfig):
+    """energy(element, theta): ``noisy_energy`` of the whole circuit with
+    ``element`` at ``theta`` appended."""
+    def energy(element, theta):
+        return noisy_energy(
+            reference, ansatz.append(element), np.append(params, theta),
+            problem.hamiltonian, config.noise.p, config.noise.scheme,
+            problem.n_qubits, config.dense_limit,
+        )
+
+    return energy
 
 
 def truncation_prefixes(

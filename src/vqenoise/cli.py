@@ -362,6 +362,8 @@ def cmd_adapt(config, out):
                 "converged": it.converged,
                 "n_evaluations": it.n_evaluations,
                 "n_gradients": it.n_gradients,
+                "screened_energies": [list(pair)
+                                      for pair in it.screened_energies],
             }
             for it in record.iterations
         ],

@@ -20,14 +20,17 @@ terms' x masks, of dimension d (5 for the frozen H4 qeb circuit on 8
 qubits). A run keeps a 2^n x 2^d grid: rows z mask, column c the span
 mask ``table[c]``, with coordinates as linear as masks (``span_table``).
 Each string's theta- and p-independent codes are kept between runs, up
-to ``CODE_CACHE_BYTES``.
+to ``CODE_CACHE_BYTES``, and so is each span's grid with its packed
+support codes, up to ``GRID_CACHE_BYTES``.
 
 Only ``circuit_steps`` lays a noise scheme's channels on a circuit, and
 both entry points walk its steps forward on one grid charged to
-``check_memory``. ``noisy_energy``, the fast path of noisy Delta E grids,
-is tested against ``simulator``'s dense kernels, which serve noisy ADAPT;
-``slot_shifts`` scores chi's slots on one backward pass after the walk:
-O(terms x 2^(n+d)), plus one matrix product per slot boundary.
+``check_memory``. ``noisy_energy`` runs noisy Delta E grids and noisy
+ADAPT's optimizer and energy-rule screening; it is tested against
+``simulator``'s dense kernels, which still serve noisy pool gradients and
+direct ``run_circuit`` calls. ``slot_shifts`` scores chi's slots on one
+backward pass after the walk: O(terms x 2^(n+d)), plus one matrix
+product per slot boundary.
 """
 
 from __future__ import annotations
@@ -121,21 +124,52 @@ class _Grid:
     """The kernels' (rows z, columns c) grid: row z holds the register's
     z mask z, column c the x mask ``table[c]`` of the span, and
     ``coordinate`` maps each span mask to its column. The codes of both on
-    a support are kept per support for the grid's run."""
+    a support are kept per support. Every array is read-only, so runs
+    share the grid; ``nbytes`` counts them."""
 
     def __init__(self, n_qubits: int, x_masks):
-        self.register = np.arange(1 << n_qubits)
-        self.table = span_table(x_masks)
-        self.columns = np.arange(len(self.table))
+        self.register = _read_only(np.arange(1 << n_qubits))
+        self.table = _read_only(span_table(x_masks))
+        self.columns = _read_only(np.arange(len(self.table)))
         self.coordinate = {x: c for c, x in enumerate(self.table.tolist())}
         self._codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.nbytes = 2 * self.table.nbytes + self.register.nbytes
 
     def codes(self, support: int):
         """The row and the column codes on ``support``."""
         if support not in self._codes:
-            self._codes[support] = (_pack(self.register, support),
-                                    _pack(self.table, support))
+            codes = self._codes[support] = (
+                _read_only(_pack(self.register, support)),
+                _read_only(_pack(self.table, support)))
+            self.nbytes += codes[0].nbytes + codes[1].nbytes
         return self._codes[support]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Bytes of span grids kept between runs: 8 (2^n + 2^(d+1)) per grid and
+# 8 (2^n + 2^d) per support packed on it, 2.3 kB per support on H4.
+GRID_CACHE_BYTES = 32 << 20
+_grids: dict = {}  # least recently used first
+
+
+def _span_grid(n_qubits: int, x_masks) -> _Grid:
+    """The kept ``_Grid`` of ``x_masks``, keyed on their first occurrences
+    (a repeated mask adds nothing to the span table). Grids used least
+    recently go while those kept hold over ``GRID_CACHE_BYTES``; the one
+    returned stays."""
+    key = (n_qubits, tuple(dict.fromkeys(x_masks)))
+    grid = _grids.pop(key, None)
+    if grid is None:
+        grid = _Grid(*key)
+    _grids[key] = grid
+    held = sum(g.nbytes for g in _grids.values())
+    while held > GRID_CACHE_BYTES and len(_grids) > 1:
+        held -= _grids.pop(next(iter(_grids))).nbytes
+    return grid
 
 
 def _pack(values, support: int):
@@ -305,7 +339,7 @@ def _charged_grid(n_qubits: int, steps):
     """The span grid of the steps' terms, once memory holds PAULI_PEAK_BYTES
     per grid entry and per support code of the heaviest term."""
     strings = [ps for terms, _, _ in steps for ps, _ in terms]
-    grid = _Grid(n_qubits, [ps.x_mask for ps in strings])
+    grid = _span_grid(n_qubits, [ps.x_mask for ps in strings])
     weight = max((ps.weight for ps in strings), default=0)
     check_memory(n_qubits, PAULI_PEAK_BYTES
                  * ((len(grid.table) << n_qubits) + 4 ** weight))

@@ -18,9 +18,10 @@ Depolarizing noise attaches to CNOT target qubits only. The gate-by-gate
 scheme applies the channel after every CNOT of the compiled circuit; the
 element-by-element scheme applies the exact element unitary first and
 then one channel per scheduled CNOT target. The dense density matrix
-serves noisy ADAPT and direct ``run_circuit`` calls, and is the oracle
-of ``pauli_transfer.noisy_energy``, which runs noisy Delta E grids on
-Pauli coefficients.
+serves noisy ADAPT's finite-difference pool gradients and direct
+``run_circuit`` calls, and is the oracle of
+``pauli_transfer.noisy_energy``, which runs noisy Delta E grids and noisy
+ADAPT's optimizer and energy-rule screening on Pauli coefficients.
 """
 
 from __future__ import annotations

@@ -475,3 +475,69 @@ def pauli_coefficients(rho: np.ndarray, n_qubits: int) -> np.ndarray:
         assert abs(value.imag) < 1e-12
         out[k] = value.real
     return out
+
+
+def dense_noisy_energy(reference, ansatz, params, h, noise, n_qubits=None):
+    """The noisy circuit energy on the dense density matrix:
+    ``expectation`` of ``run_circuit`` with noise, the objective noisy
+    optimization and screening used before they ran on Pauli-transfer
+    coefficients."""
+    from vqenoise.operators import expectation
+    from vqenoise.simulator import run_circuit
+
+    return expectation(h, run_circuit(reference, ansatz, params, noise=noise,
+                                      n_qubits=n_qubits))
+
+
+def dense_noisy_adapt_oracle(problem, config):
+    """Noisy ADAPT growth with every energy on the dense density matrix:
+    finite-difference pool gradients, trial circuits screened and the
+    whole circuit re-optimized on ``dense_noisy_energy``. Returns the
+    accepted labels and energies; a stall or the halting rule ends it."""
+    from vqenoise.adapt import (
+        STALL_TOL, bfgs_minimize, finite_difference_pool_gradients,
+        nelder_mead,
+    )
+    from vqenoise.ansatz import Ansatz, build_pool, hartree_fock_index
+    from vqenoise.simulator import run_circuit
+
+    minimize = {"bfgs": bfgs_minimize, "nelder_mead": nelder_mead}[
+        config.optimizer]
+    pool = build_pool(config.pool_kind, problem.n_qubits, problem.n_electrons)
+    reference = hartree_fock_index(problem.n_electrons)
+    h, n, noise = problem.hamiltonian, problem.n_qubits, config.noise
+
+    def energy(ansatz, params):
+        return dense_noisy_energy(reference, ansatz, params, h, noise, n)
+
+    ansatz, params = Ansatz(), np.zeros(0)
+    current = energy(ansatz, params)
+    labels, energies = [], []
+    for _ in range(config.max_iterations):
+        state = run_circuit(reference, ansatz, params, noise=noise, n_qubits=n)
+        grads = np.abs(finite_difference_pool_gradients(state, h, pool, noise))
+        if grads.max() < STALL_TOL \
+                or np.linalg.norm(grads) <= config.eps_opt:
+            break
+        if config.rule == "gradient":
+            chosen = int(np.argmax(grads))
+        else:
+            best = np.inf
+            for index in np.argsort(-grads, kind="stable")[
+                    :config.subpool_size].tolist():
+                trial = ansatz.append(pool.elements[index])
+                screened = minimize(
+                    lambda theta, trial=trial: energy(
+                        trial, np.append(params, theta)),
+                    np.zeros(1), grad_tol=config.eps_opt).energy
+                if screened < best:
+                    best, chosen = screened, index
+        trial = ansatz.append(pool.elements[chosen])
+        result = minimize(lambda x, trial=trial: energy(trial, x),
+                          np.append(params, 0.0), grad_tol=config.eps_opt)
+        if current - result.energy <= config.eps_halt:
+            break
+        ansatz, params, current = trial, result.x, result.energy
+        labels.append(pool.elements[chosen].label)
+        energies.append(float(current))
+    return labels, energies

@@ -312,6 +312,27 @@ class TestAdaptCommand:
             == [it.n_gradients for it in record.iterations]
         assert all(it.n_gradients > 0 for it in record.iterations)
 
+    @pytest.mark.parametrize("rule", ["gradient", "energy"])
+    def test_screened_energies_are_written(self, tmp_path, capsys, h2, rule):
+        import vqenoise.adapt as adapt_module
+
+        code = run_cli("adapt", "--set", f"rule={rule}",
+                       "--set", "growth_p=1e-4", "--set", "max_iterations=2",
+                       "--out", str(tmp_path))
+        assert code in (EXIT_OK, EXIT_RESOURCE)
+        payload = json.loads((tmp_path / "adapt_record.json").read_text())
+        written = [it["screened_energies"] for it in payload["iterations"]]
+        assert written
+        if rule == "gradient":
+            assert written == [[]] * len(written)
+            return
+        record = adapt_module.adapt_run(h2, adapt_module.AdaptConfig(
+            rule="energy", noise=adapt_module.NoiseModel(1e-4),
+            max_iterations=2))
+        assert written == [[list(pair) for pair in it.screened_energies]
+                           for it in record.iterations]
+        assert all(written)
+
     def test_noise_multiplier_scales_growth_p(self, tmp_path, capsys):
         # 5e-4 x 2 is exactly the double nearest 1e-3
         iterations = []

@@ -268,6 +268,57 @@ def test_each_slot_boundary_scored_once(circuits, scheme, monkeypatch):
     assert len(calls) == len(circuit_steps(ansatz, params, scheme)) + 1
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_grids_are_kept_between_runs(circuits, scheme, monkeypatch):
+    """A second run on the same span builds no grid and packs no code,
+    shares the first run's read-only arrays, and reads the bits that a
+    freshly built grid gives."""
+    problem, ansatz, params = circuits["h4_qeb_frozen"]
+    h, n = problem.hamiltonian, problem.n_qubits
+    reference = hartree_fock_index(problem.n_electrons)
+    masks = [ps.x_mask for element in ansatz.elements
+             for ps, _ in element.terms]
+
+    def run():
+        return noisy_energy(reference, ansatz, params, h, 1e-3, scheme)
+
+    first = run()
+    grid = pauli_transfer._span_grid(n, masks)
+    assert pauli_transfer._span_grid(n, masks + masks[::-1]) is grid
+    arrays = [grid.register, grid.table, grid.columns,
+              *(a for codes in grid._codes.values() for a in codes)]
+    assert len(arrays) > 3 and not any(a.flags.writeable for a in arrays)
+    fresh = _Grid(n, masks)
+    assert fresh.table.tobytes() == grid.table.tobytes()
+    steps = circuit_steps(ansatz, params, scheme)
+    r = _evolve(fresh, reference, steps, 1.0 - 4.0 * 1e-3 / 3.0,
+                scheme == "gate_by_gate")[0]
+    assert _energy(r, fresh, h) == first
+
+    def untouched(*args):
+        raise AssertionError("a kept grid was built or packed again")
+
+    monkeypatch.setattr(pauli_transfer, "_Grid", untouched)
+    monkeypatch.setattr(pauli_transfer, "_pack", untouched)
+    assert run() == first
+
+
+def test_grid_cache_keeps_at_most_its_bytes(monkeypatch):
+    """Past GRID_CACHE_BYTES the least recently used grids go, but never
+    the one a run is using."""
+    monkeypatch.setattr(pauli_transfer, "_grids", {})
+    monkeypatch.setattr(pauli_transfer, "GRID_CACHE_BYTES", 1)
+    kept = pauli_transfer._grids
+    first = pauli_transfer._span_grid(4, [0b0011])
+    assert pauli_transfer._span_grid(4, [0b0011]) is first
+    second = pauli_transfer._span_grid(4, [0b0110])
+    assert list(kept.values()) == [second]
+    monkeypatch.setattr(pauli_transfer, "GRID_CACHE_BYTES",
+                        first.nbytes + second.nbytes)
+    assert pauli_transfer._span_grid(4, [0b0011]) is not first
+    assert len(kept) == 2
+
+
 def test_run_allocates_no_full_register_array(circuits):
     """One run peaks below PAULI_PEAK_BYTES per entry of its 2^n x 2^d
     grid: a 4^n float array alone would reach that bound."""

@@ -33,7 +33,7 @@ from .exceptions import (
     StalledError,
     VqeNoiseError,
 )
-from .operators import QubitOperator, apply_operator, expectation, pauli_action
+from .operators import QubitOperator, apply_operator, expectation
 from .pauli_transfer import noisy_energy
 from .simulator import (
     DENSITY_LIMIT_DEFAULT,
@@ -43,7 +43,7 @@ from .simulator import (
     apply_noisy_element,
     apply_rotations_to_rows,
     cnot_count,
-    pauli_rotations,
+    givens_rotations,
     run_circuit,
 )
 
@@ -415,13 +415,10 @@ def optimize_parameters(
 
 
 def _apply_generator(element, psi: np.ndarray) -> np.ndarray:
-    """T psi for T = sum_k i b_k P_k, on a vector or each row of a block."""
-    t_psi = np.zeros_like(psi)
-    for ps, b in element.terms:
-        targets, phases = pauli_action(ps)
-        # take: psi[..., targets] without the ellipsis index's overhead
-        t_psi += (1j * b) * (phases[targets] * psi.take(targets, -1, mode="clip"))
-    return t_psi
+    """T psi on a vector or each row of a block, summed over the element's
+    runs (take: psi[..., targets] without the ellipsis index's overhead)."""
+    return sum(psi.take(targets, -1, mode="clip") * unit * modulus
+               for targets, modulus, unit in element.runs())
 
 
 def _reuse_last(run):
@@ -445,7 +442,7 @@ def _adjoint_gradient(ansatz: Ansatz, h: QubitOperator, run):
     With psi_j the state after element j and lambda_j = U_{j+1}+ ... U_N+
     H psi_N, dE/dtheta_j = 2 Re <lambda_j|T_j psi_j>. One forward pass
     gives psi_N; the backward sweep steps both rows of (psi, lambda) back
-    through U_j+ = exp(-theta_j T_j) with the shared rotation kernel.
+    through U_j+ = exp(-theta_j T_j), one Givens rotation per run of T_j.
     """
     def gradient(params):
         state = run(params)
@@ -457,8 +454,7 @@ def _adjoint_gradient(ansatz: Ansatz, h: QubitOperator, run):
             t_psi = _apply_generator(element, rows[0])
             grad[j] = 2.0 * np.vdot(rows[1], t_psi).real
             apply_rotations_to_rows(
-                rows, pauli_rotations(element.terms, -float(params[j])), scratch
-            )
+                rows, givens_rotations(element, -float(params[j])), scratch)
         return grad
 
     return gradient

@@ -8,8 +8,8 @@ type with a predetermined element order.
 
 Every generator T is anti-Hermitian, so ansatz elements e^{theta T} are
 unitary. In the Pauli basis T = sum_k i b_k P_k with real b_k; elements
-store that term sequence in a deterministic order shared by the exact
-evolution fast path and the staircase gate compiler.
+store that term sequence in a deterministic order shared by the staircase
+gate compiler and the exact evolution, which compiles it once into runs.
 """
 
 from __future__ import annotations
@@ -17,12 +17,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exceptions import ConfigError, DimensionError
 from .operators import (
+    MATRIX_CACHE_QUBITS,
     FermionOperator,
     PauliString,
     QubitOperator,
     jordan_wigner,
+    pauli_action,
 )
 
 
@@ -89,6 +93,32 @@ class AnsatzElement:
             raise ConfigError(f"element {self.label!r} has a zero generator")
         object.__setattr__(self, "terms", seq)
         object.__setattr__(self, "cnot_schedule", _staircase_schedule(seq))
+        object.__setattr__(self, "_runs", None)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_runs": None}
+
+    def runs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(targets, |g|, g / |g| or 0) per maximal run of consecutive terms
+        with one x mask m and one Y-count parity (so pairwise commuting):
+        (T psi)[j] = g[j] psi[j ^ m], g[j] = sum_k i b_k phases_k[j ^ m].
+        Stored on registers of at most ``MATRIX_CACHE_QUBITS``, not pickled."""
+        if self._runs is not None:
+            return self._runs
+        runs = []
+        for _, run in itertools.groupby(
+                self.terms, lambda term: (term[0].x_mask, term[0].y_count & 1)):
+            g = 0.0
+            for ps, b in run:
+                targets, phases = pauli_action(ps)
+                g = g + (1j * b) * phases[targets]
+            modulus = np.abs(g)
+            unit = np.divide(g, modulus, out=np.zeros_like(g), where=modulus > 0)
+            modulus.flags.writeable = unit.flags.writeable = False
+            runs.append((targets, modulus, unit))
+        if self.n_qubits <= MATRIX_CACHE_QUBITS:
+            object.__setattr__(self, "_runs", tuple(runs))
+        return self._runs or tuple(runs)
 
     @property
     def n_qubits(self) -> int:

@@ -28,7 +28,7 @@ IMAG_TOL = 1e-10
 # Dense diagonalization refuses registers larger than this by default.
 DENSE_LIMIT_DEFAULT = 14
 # Dense operator matrices are cached on the operator up to this register size.
-_MATRIX_CACHE_QUBITS = 10
+MATRIX_CACHE_QUBITS = 10
 
 _AXIS_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_AXIS = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -155,13 +155,13 @@ def pauli_action(ps: PauliString) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(targets, phases)`` such that ``P |k> = phases[k] |targets[k]>``
     for every basis index k. ``targets`` is the involution ``k ^ x_mask``.
-    On registers of at most ``_MATRIX_CACHE_QUBITS`` qubits the pair is
+    On registers of at most ``MATRIX_CACHE_QUBITS`` qubits the pair is
     built once, stored on the string and returned read-only after that.
     """
     if ps._action is not None:
         return ps._action
     action = _build_action(ps)
-    if ps.n_qubits <= _MATRIX_CACHE_QUBITS:
+    if ps.n_qubits <= MATRIX_CACHE_QUBITS:
         for arr in action:
             arr.flags.writeable = False
         object.__setattr__(ps, "_action", action)
@@ -343,7 +343,7 @@ class QubitOperator:
         for ps, coeff in self._terms.items():
             targets, phases = _build_action(ps)
             m[targets, cols] += coeff * phases
-        if self.n_qubits <= _MATRIX_CACHE_QUBITS:
+        if self.n_qubits <= MATRIX_CACHE_QUBITS:
             object.__setattr__(self, "_matrix", m)
         return m
 
@@ -601,7 +601,7 @@ def _state_array(state) -> np.ndarray:
 def apply_operator(h: QubitOperator, vec: np.ndarray) -> np.ndarray:
     """H |psi> for a state vector: one dense product when the matrix is
     cached, else term by term."""
-    if h.n_qubits <= _MATRIX_CACHE_QUBITS:
+    if h.n_qubits <= MATRIX_CACHE_QUBITS:
         return h.matrix() @ vec
     out = np.zeros(vec.shape, dtype=complex)
     for ps, coeff in h.terms.items():
@@ -625,7 +625,7 @@ def expectation(h: QubitOperator, state) -> float:
         )
     if arr.ndim == 1:
         value = complex(np.vdot(arr, apply_operator(h, arr)))
-    elif h.n_qubits <= _MATRIX_CACHE_QUBITS:
+    elif h.n_qubits <= MATRIX_CACHE_QUBITS:
         value = complex(np.einsum("jk,kj->", h.matrix(), arr))
     else:
         value = 0.0 + 0.0j

@@ -7,12 +7,12 @@ row. Gates and channels work in place on rho's flat index (row bits above
 column bits) through scratch the caller owns, bit-identical to the
 allocating forms the tests keep as oracles; a CNOT swaps the target-bit
 halves where the control bit is 1. Ansatz elements evolve either exactly
-(each Pauli term of the generator applied as a cosine/sine rotation by
-the one kernel ``apply_rotations_to_rows``, which ``apply_element`` and
-the adjoint gradient in ``adapt`` share) or through their staircase
-gate decomposition; the two agree because every bundled generator has
-mutually commuting terms, which the test suite verifies against dense
-matrix exponentials.
+(rotations applied by the one row kernel ``apply_rotations_to_rows``: a
+Givens rotation per compiled run for state vectors and the adjoint
+gradient in ``adapt``, a rotation per Pauli term for density matrices)
+or through their staircase gate decomposition; the two agree because
+every bundled generator has mutually commuting terms, which the test
+suite verifies against dense matrix exponentials.
 
 Depolarizing noise attaches to CNOT target qubits only. The gate-by-gate
 scheme applies the channel after every CNOT of the compiled circuit; the
@@ -333,8 +333,8 @@ def apply_depolarizing(state: QuantumState, qubit: int, p: float) -> QuantumStat
 
 def pauli_rotations(terms, theta: float) -> list:
     """(targets, cos, i sin * phases[targets]) per nonzero-angle term of
-    exp(theta T): term exp(i b theta P) is cos(b theta) + i sin(b theta) P.
-    Applying them in stored order is exact because the terms commute."""
+    exp(theta T), for density matrices: term exp(i b theta P) is
+    cos(b theta) + i sin(b theta) P, exact in stored order as terms commute."""
     rotations = []
     for ps, b in terms:
         phi = b * theta
@@ -346,10 +346,23 @@ def pauli_rotations(terms, theta: float) -> list:
     return rotations
 
 
+def givens_rotations(element: AnsatzElement, theta: float) -> list:
+    """(targets, cos, sin * g / |g|) per run of ``element.runs()``, none at
+    theta = 0: a run's T is anti-Hermitian, so T^2 = -|g|^2 and exp(theta T)
+    psi = cos(theta |g|) psi + sin(theta |g|) g / |g| psi[j ^ m]."""
+    if theta == 0.0:
+        return []
+    rotations = []
+    for targets, modulus, unit in element.runs():
+        phi = theta * modulus
+        rotations.append((targets, np.cos(phi), np.sin(phi) * unit))
+    return rotations
+
+
 def apply_rotations_to_rows(rows: np.ndarray, rotations, scratch: np.ndarray):
-    """Apply ``pauli_rotations`` in order, in place, to each row of a
-    (k, 2^n) block of state vectors, or to one 2^n vector; ``scratch`` has
-    the shape of ``rows``."""
+    """Apply ``pauli_rotations`` or ``givens_rotations`` in order, in place,
+    to each row of a (k, 2^n) block of state vectors, or to one 2^n vector;
+    ``scratch`` has the shape of ``rows``."""
     for targets, c, phased in rotations:
         # targets are always in range; "clip" skips take's buffered check
         rows.take(targets, axis=-1, out=scratch, mode="clip")
@@ -363,14 +376,15 @@ def apply_element(
 ) -> QuantumState:
     """Exact evolution under U = exp(theta T) by ``apply_rotations_to_rows``.
 
-    A vector is one row; a density matrix takes U on every column (the
-    rows of rho.T), then U* on every row: rho <- U rho U+.
+    A vector is one row, through ``givens_rotations``; a density matrix takes
+    U on every column (the rows of rho.T), then U* on every row, term by term.
     """
     if element.n_qubits != state.n_qubits:
         raise DimensionError(
             f"element on {element.n_qubits} qubits, state on {state.n_qubits}"
         )
-    rotations = pauli_rotations(element.terms, theta)
+    rotations = (pauli_rotations(element.terms, theta) if state.is_density
+                 else givens_rotations(element, theta))
     data, scratch = state.data, state.scratch().reshape(state.data.shape)
     if state.is_density:
         for targets, c, phased in rotations:  # whole rows of rho at a time

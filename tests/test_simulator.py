@@ -22,7 +22,13 @@ from vqenoise.exceptions import (
     NumericIntegrityError,
     ResourceLimitError,
 )
-from vqenoise.operators import PauliString, QubitOperator, expectation
+from vqenoise.adapt import _apply_generator
+from vqenoise.operators import (
+    MATRIX_CACHE_QUBITS,
+    PauliString,
+    QubitOperator,
+    expectation,
+)
 from vqenoise.simulator import (
     DENSITY_PEAK_COPIES,
     NOISELESS,
@@ -39,7 +45,7 @@ from vqenoise.simulator import (
     cnot_count,
     compile_circuit,
     compile_element,
-    pauli_rotations,
+    givens_rotations,
     run_circuit,
 )
 from vqenoise.pauli_transfer import conjugate_masks
@@ -54,6 +60,7 @@ from oracles import (
     element_unitary_expm,
     gate_unitary,
     kron_pauli,
+    qubit_operator_matrix,
     random_density,
 )
 
@@ -438,13 +445,13 @@ class TestApplyElement:
         assert_elements_match_expm(random_density(4, seed=13), theta)
 
     def test_row_kernel_matches_single_states(self):
-        # a block of k rows through one rotation list, which skips the
-        # zero-angle element, equals k single-state apply_element runs
+        # a block of k rows through one Givens rotation list, which skips
+        # the zero-angle element, equals k single-state apply_element runs
         pool = build_fermionic_pool(4, 2).elements
         steps = [(pool[2], 0.4), (pool[0], 0.0), (pool[1], -0.7)]
-        assert pauli_rotations(pool[0].terms, 0.0) == []
+        assert givens_rotations(pool[0], 0.0) == []
         rotations = [r for e, theta in steps
-                     for r in pauli_rotations(e.terms, theta)]
+                     for r in givens_rotations(e, theta)]
         start = np.array([random_vector(4, seed) for seed in range(5)])
         block = start.copy()
         apply_rotations_to_rows(block, rotations, np.empty_like(block))
@@ -483,6 +490,75 @@ class TestApplyElement:
         e = build_fermionic_pool(4, 2).elements[0]
         with pytest.raises(DimensionError):
             apply_element(QuantumState.from_basis_index(0, 3), e, 0.1)
+
+
+def mixed_runs_element():
+    """T = i sum_k b_k P_k whose stored order puts X0, then the
+    anticommuting Y0 and the commuting Y0 Z1, then Y1 X2 and X1 Y2 on a
+    second x mask: runs [X0], [Y0, Y0 Z1], [Y1 X2, X1 Y2]."""
+    terms = {"X0": 0.3, "Y0": -0.5, "Y0 Z1": 0.2, "Y1 X2": 0.4, "X1 Y2": -0.25}
+    return AnsatzElement(QubitOperator(3, {
+        PauliString({int(f[1]): f[0] for f in label.split()}, 3): 1j * b
+        for label, b in terms.items()
+    }), "mixed runs")
+
+
+class TestCompiledRuns:
+    def test_runs_split_at_x_masks_and_anticommuting_terms(self):
+        e = mixed_runs_element()
+        assert [ps.label for ps, _ in e.terms] == \
+            ["X0", "Y0", "Y0 Z1", "Y1 X2", "X1 Y2"]
+        runs = e.runs()
+        assert [list(targets) for targets, *_ in runs] == \
+            [[j ^ m for j in range(8)] for m in (1, 1, 6)]
+        for seed, theta in ((7, 0.9), (8, -1.7)):
+            v = random_vector(3, seed)
+            fast = apply_element(QuantumState(3, v.copy()), e, theta).data
+            slow = apply_element_kernel_oracle(QuantumState(3, v.copy()), e,
+                                               theta).data
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-14)
+            gates = circuit_unitary(compile_element(e, theta), 3) @ v
+            np.testing.assert_allclose(fast, gates, rtol=0, atol=1e-12)
+        v = random_vector(3, 9)
+        np.testing.assert_allclose(
+            _apply_generator(e, v), qubit_operator_matrix(e.generator) @ v,
+            rtol=0, atol=1e-14)
+
+    def test_runs_stored_read_only(self):
+        e = build_qeb_pool(4, 2).elements[-1]
+        runs = e.runs()
+        assert e.runs() is runs and len(runs) == 1
+        for run in runs:
+            assert not any(array.flags.writeable for array in run)
+            with pytest.raises(ValueError):
+                run[2][0] = 0.0
+
+    def test_pickle_carries_no_runs(self):
+        import pickle
+
+        e = build_fermionic_pool(4, 2).elements[-1]
+        blank = pickle.dumps(e)
+        runs = e.runs()
+        assert pickle.dumps(e) == blank
+        loaded = pickle.loads(blank)
+        assert loaded._runs is None
+        (fresh,) = loaded.runs()
+        assert fresh[2] is not runs[0][2]
+        for array, stored in zip(fresh, runs[0]):
+            assert np.array_equal(array, stored)
+
+    def test_large_register_not_stored(self):
+        n = MATRIX_CACHE_QUBITS + 1
+        e = AnsatzElement(QubitOperator(n, {
+            PauliString({0: "X", n - 1: "Y"}, n): 0.6j,
+            PauliString({0: "Y", n - 1: "X"}, n): -0.6j,
+        }), "above the cap")
+        v = random_vector(n, 5)
+        fast = apply_element(QuantumState(n, v.copy()), e, 0.7).data
+        assert e._runs is None
+        assert e.runs()[0][1] is not e.runs()[0][1]
+        slow = apply_element_kernel_oracle(QuantumState(n, v.copy()), e, 0.7)
+        np.testing.assert_allclose(fast, slow.data, rtol=0, atol=1e-14)
 
 
 class TestRunCircuit:
@@ -663,13 +739,20 @@ class TestKernelsBitIdentical:
 
     @pytest.mark.parametrize("kind", ["density", "vector"])
     def test_exact_elements(self, kind):
+        # the oracle is the ordered per-term product: the density branch
+        # still runs it, while a vector's Givens rotation per run of terms
+        # matches it only to rounding
         data = kernel_inputs(8)[kind]
         for e in build_qeb_pool(8, 4).elements[::7]:
             fast = apply_element(QuantumState(8, data.copy()), e, 0.3)
             slow = apply_element_kernel_oracle(
                 QuantumState(8, data.copy()), e, 0.3
             )
-            assert np.array_equal(fast.data, slow.data), e.label
+            if kind == "density":
+                assert np.array_equal(fast.data, slow.data), e.label
+            else:
+                np.testing.assert_allclose(fast.data, slow.data, rtol=0,
+                                           atol=1e-14, err_msg=e.label)
 
     def test_scratch_is_neither_copied_nor_pickled(self):
         import pickle

@@ -19,9 +19,12 @@ diagonal, so r lives in the columns x of the GF(2) span of the ansatz
 terms' x masks, of dimension d (5 for the frozen H4 qeb circuit on 8
 qubits). A run keeps a 2^n x 2^d grid: rows z mask, column c the span
 mask ``table[c]``, with coordinates as linear as masks (``span_table``).
+Entry (z, c) sits at flat position z 2^d + c, so a term's gather keys
+are one XOR of the flat positions, one kept array that every grid reads.
 Each string's theta- and p-independent codes are kept between runs, up
-to ``CODE_CACHE_BYTES``, and so is each span's grid with its packed
-support codes, up to ``GRID_CACHE_BYTES``.
+to ``CODE_CACHE_BYTES``, as one uint8 array per factor that indexes a
+product table of rotation factors and channel powers; so is each span's
+grid with its packed support codes, up to ``GRID_CACHE_BYTES``.
 
 Only ``circuit_steps`` lays a noise scheme's channels on a circuit, and
 both entry points walk its steps forward on one grid charged to
@@ -29,8 +32,9 @@ both entry points walk its steps forward on one grid charged to
 ADAPT's optimizer and energy-rule screening; it is tested against
 ``simulator``'s dense kernels, which still serve noisy pool gradients and
 direct ``run_circuit`` calls. ``slot_shifts`` scores chi's slots on one
-backward pass after the walk: O(terms x 2^(n+d)), plus one matrix
-product per slot boundary.
+backward pass after the walk, which maps r and the Heisenberg-evolved H
+as one stacked array, one term map per term: O(terms x 2^(n+d)), plus
+one matrix product per slot boundary.
 """
 
 from __future__ import annotations
@@ -130,10 +134,9 @@ class _Grid:
     def __init__(self, n_qubits: int, x_masks):
         self.register = _read_only(np.arange(1 << n_qubits))
         self.table = _read_only(span_table(x_masks))
-        self.columns = _read_only(np.arange(len(self.table)))
         self.coordinate = {x: c for c, x in enumerate(self.table.tolist())}
         self._codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.nbytes = 2 * self.table.nbytes + self.register.nbytes
+        self.nbytes = self.table.nbytes + self.register.nbytes
 
     def codes(self, support: int):
         """The row and the column codes on ``support``."""
@@ -150,10 +153,27 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Bytes of span grids kept between runs: 8 (2^n + 2^(d+1)) per grid and
-# 8 (2^n + 2^d) per support packed on it, 2.3 kB per support on H4.
+# Bytes of span grids kept between runs: 8 (2^n + 2^d) per grid and
+# 8 (2^n + 2^d) per support packed on it, 2.3 kB per support on H4. The
+# flat positions of the largest grid run, 8 2^(n+d), are kept apart
+# while they fit the same bound.
 GRID_CACHE_BYTES = 32 << 20
 _grids: dict = {}  # least recently used first
+_positions = _read_only(np.arange(0))
+
+
+def _flat_positions(rows: int, columns: int) -> np.ndarray:
+    """Each grid entry's flat position z 2^d + c, arange(rows columns) as a
+    (rows, columns) read-only view of the kept ``_positions``, which grows
+    to the largest grid run: every grid reads one array."""
+    global _positions
+    size = rows * columns
+    if len(_positions) < size:
+        positions = _read_only(np.arange(size))
+        if positions.nbytes > GRID_CACHE_BYTES:
+            return positions.reshape(rows, columns)
+        _positions = positions
+    return _positions[:size].reshape(rows, columns)
 
 
 def _span_grid(n_qubits: int, x_masks) -> _Grid:
@@ -184,8 +204,13 @@ def _pack(values, support: int):
 
 def _parity(masks: np.ndarray, moved: np.ndarray) -> np.ndarray:
     """(len(masks), len(moved)) uint8: 1 where a mask shares an odd number
-    of bits with a moved mask."""
-    return np.bitwise_count(masks[:, None] & moved) & 1
+    of bits with a moved mask. The masks are narrowed to the least unsigned
+    type that holds them first, which shrinks the broadcast AND and its
+    buffers (``_score`` runs it over the register at every boundary)."""
+    kind = np.min_scalar_type(max(masks.max(initial=0),
+                                  moved.max(initial=0)))
+    return np.bitwise_count(masks.astype(kind)[:, None]
+                            & moved.astype(kind)) & 1
 
 
 def _slot_bits(masks: np.ndarray, slots):
@@ -237,8 +262,8 @@ class _CappedCache:
 def _build_codes(x_mask: int, z_mask: int, n_qubits: int, staircase: bool):
     """A term's theta- and p-independent codes over the codes of R's masks
     on P's support (rows z, columns x), as uint8: e (below), and for a
-    staircase with channel slots the number of slots that scale a_R and
-    b_R (``term_slots``)."""
+    staircase with channel slots e + 4 s_a and e + 4 s_b, with s the number
+    of slots that scale a_R and b_R (``term_slots``)."""
     support = x_mask | z_mask
     masks = np.arange(support + 1)
     masks = masks[(masks & ~support) == 0]  # by code on the support
@@ -263,14 +288,14 @@ def _build_codes(x_mask: int, z_mask: int, n_qubits: int, staircase: bool):
     partner_cols = pre_cols[index ^ _pack(x_mask, support)]
     partner_rows = pre_rows[index ^ _pack(z_mask, support)]
     return np.stack([
-        e, _scaled(pre_cols | post_cols, pre_rows | post_rows),
-        _scaled(partner_cols | post_cols, partner_rows | post_rows),
+        e + 4 * _scaled(pre_cols | post_cols, pre_rows | post_rows),
+        e + 4 * _scaled(partner_cols | post_cols, partner_rows | post_rows),
     ])
 
 
-# Worst-case bytes of the codes kept by ``_term_codes``: 3 * 4^w per string
-# of weight w, so 42 strings of weight 8 (the whole H4 register); the 176
-# strings of the deepest fermionic ADAPT circuit on H4 take 2.6 MB.
+# Worst-case bytes of the codes kept by ``_term_codes``: 2 * 4^w per string
+# of weight w, so 64 strings of weight 8 (the whole H4 register); the 176
+# strings of the deepest fermionic ADAPT circuit on H4 take 1.7 MB.
 CODE_CACHE_BYTES = 8 << 20
 _term_codes = _CappedCache(_build_codes, CODE_CACHE_BYTES)
 
@@ -280,31 +305,31 @@ def _term_factors(ps, phi, lam, staircase):
     r_R <- a_R r_R + b_R r_{R xor P}. a and b depend only on R's masks on
     P's support, so they are built over those codes (rows z, columns x)
     from the string's kept codes. For a staircase, each channel slot of
-    ``term_slots`` scales by lam: f = lam^(slots that scale R)."""
-    e, *scaled = _term_codes(ps.x_mask, ps.z_mask, ps.n_qubits, staircase)
+    ``term_slots`` scales by lam: f = lam^(slots s that scale R), read
+    with the rotation's factor at code e + 4 s of one product table."""
+    codes = _term_codes(ps.x_mask, ps.z_mask, ps.n_qubits, staircase)
     cos, sin = math.cos(2.0 * phi), math.sin(2.0 * phi)
-    a = np.array([cos, 1.0, cos, 1.0]).take(e)
-    b = np.array([sin, 0.0, -sin, 0.0]).take(e)
-    if scaled:
-        powers = lam ** np.arange(2 * ps.weight - 1)  # 2(w - 1) slots
-        a *= powers.take(scaled[0])
-        b *= powers.take(scaled[1])
-    return a, b
+    table = np.array([[cos, 1.0, cos, 1.0], [sin, 0.0, -sin, 0.0]])
+    if len(codes) > 1:  # 2(w - 1) slots
+        table = table[:, None] * (lam ** np.arange(2 * ps.weight - 1))[:, None]
+    return table[0].take(codes[0]), table[1].take(codes[-1])
 
 
 def _apply_term(r, partner, index, grid, ps, phi, lam, staircase):
-    """r <- diag(f_post) R_P(phi) diag(f_pre) r in place on the grid: R
-    xor P sits at (z ^ z_P, c ^ c_P). ``partner`` and ``index`` are
-    scratch: index holds the gather's keys, then its bytes hold the
-    factors spread over the grid."""
+    """r <- diag(f_post) R_P(phi) diag(f_pre) r in place on the grid, or on
+    each grid of a stack r[..., z, c]: R xor P sits at (z ^ z_P, c ^ c_P),
+    flat position (z 2^d + c) xor (z_P 2^d + c_P). ``partner`` (r's shape)
+    and ``index`` (one grid's) are scratch: index holds the gather's keys,
+    then its bytes hold the factors spread over the grid."""
     a, b = _term_factors(ps, phi, lam, staircase)
     rows, cols = grid.codes(ps.x_mask | ps.z_mask)
-    np.bitwise_or((grid.register ^ ps.z_mask)[:, None] * len(grid.table),
-                  grid.columns ^ grid.coordinate[ps.x_mask], out=index)
-    r.take(index, out=partner, mode="clip")  # indices are in range
+    np.bitwise_xor(_flat_positions(*index.shape), ps.z_mask * len(grid.table)
+                   | grid.coordinate[ps.x_mask], out=index)
+    # method calls and "clip" (the indices are in range) keep calls short
+    r.reshape(*r.shape[:-2], -1).take(index, -1, partner, "clip")
     for factors, target in ((b, partner), (a, r)):
-        target *= np.take(factors.take(cols, axis=1), rows, axis=0,
-                          out=index.view(np.float64), mode="clip")
+        target *= factors.take(cols, 1).take(rows, 0, index.view(np.float64),
+                                             "clip")
     r += partner
 
 
@@ -346,13 +371,17 @@ def _charged_grid(n_qubits: int, steps):
     return grid
 
 
-def _evolve(grid, initial, steps, lam, staircase):
+def _evolve(grid, initial, steps, lam, staircase, stack=()):
     """r on ``grid`` after the determinant ``initial`` walks ``steps`` with
     channels of lam = 1 - 4p/3, and the scratch: a staircase's channels
-    sit in its term factors, otherwise each step's after-slots scale r."""
-    shape = (len(grid.register), len(grid.table))
-    r, partner = np.zeros(shape), np.empty(shape)
-    index = np.empty(shape, dtype=np.intp)
+    sit in its term factors, otherwise each step's after-slots scale r.
+    With ``stack`` leading axes, r is the first grid of a zeroed stack of
+    that shape, which is returned with its scratch in place of r's."""
+    shape = (*stack, len(grid.register), len(grid.table))
+    r_stack, partner_stack = np.zeros(shape), np.empty(shape)
+    index = np.empty(shape[-2:], dtype=np.intp)
+    first = (0,) * len(stack)
+    r, partner = r_stack[first], partner_stack[first]
     r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
     for terms, _, after in steps:
         for ps, phi in terms:
@@ -360,7 +389,7 @@ def _evolve(grid, initial, steps, lam, staircase):
         if not staircase and lam != 1.0:
             _apply_channels(r, partner, index, grid,
                             [(qubit, count) for qubit, count, _ in after], lam)
-    return r, partner, index
+    return r_stack, partner_stack, index
 
 
 def _energy(r, grid, h: QubitOperator) -> float:
@@ -454,40 +483,44 @@ def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
     sigma flips the sign of every r_P whose P anticommutes with it, so it
     shifts the energy by -2 sum h_P r_P over those P, with h the
     Heisenberg-evolved H there. Term maps are orthogonal: the backward
-    pass un-rotates r beside h by R_P(-phi), with no checkpoint, and
-    scores a step's after-slots with the next step's before-slots, one
-    ``_score`` per boundary.
+    pass un-rotates the stack (r, h) by R_P(-phi), one term map for both,
+    with no checkpoint, and scores a step's after-slots with the next
+    step's before-slots, one ``_score`` per boundary.
     """
     _check_register(initial, h, n_qubits)
     coeffs = np.fromiter(h.terms.values(), complex, len(h.terms))
     if np.abs(coeffs.imag).max(initial=0.0) > IMAG_TOL:
         raise NumericIntegrityError("hamiltonian has a complex coefficient")
     grid = _charged_grid(n_qubits, steps)
-    r, partner, index = _evolve(grid, initial, steps, 1.0, False)
+    stack, partner, index = _evolve(grid, initial, steps, 1.0, False, (2,))
+    r, hw = stack  # strings outside the span meet r = 0
     _check_coefficients(r.reshape(-1), n_qubits, physical=True)
-    hw = np.zeros_like(r)  # strings outside the span meet r = 0
     for ps, coeff in zip(h.terms, coeffs.real.tolist()):
         if ps.x_mask in grid.coordinate:
             hw[ps.z_mask, grid.coordinate[ps.x_mask]] = coeff
-    e_unperturbed = float(np.sum(hw * r))
-    shifts, following = [], []  # last boundary first
+    e_unperturbed = float(np.multiply(hw, r, out=partner[0]).sum())
+    shifts = np.empty((sum(len(before) + len(after)
+                           for _, before, after in steps), 3))
+    stop, following = len(shifts), []  # last boundary first
     for terms, before, after in reversed(steps):
-        shifts.append(_score(grid, hw, r, [*after, *following]))
+        slots = [*after, *following]
+        shifts[stop - len(slots):stop] = _score(grid, stack, partner, slots)
+        stop -= len(slots)
         for ps, phi in reversed(terms):
-            for v in (r, hw):
-                _apply_term(v, partner, index, grid, ps, -phi, 1.0, False)
+            _apply_term(stack, partner, index, grid, ps, -phi, 1.0, False)
         following = before
-    shifts.append(_score(grid, hw, r, following))
-    return e_unperturbed, np.concatenate([np.empty((0, 3)), *shifts[::-1]])
+    shifts[:stop] = _score(grid, stack, partner, following)
+    return e_unperturbed, shifts
 
 
-def _score(grid, hw, r, slots):
+def _score(grid, stack, scratch, slots):
     """-2 sum of h o r over the strings that anticommute with each slot
-    string, one (X, Y, Z) row per slot: with R and C the parities of
-    z & sx (rows) and table[c] & sz (columns), those are R + C - 2 R C."""
+    string, one (X, Y, Z) row per slot, with (r, h) = ``stack`` and h o r
+    written to ``scratch``: with R and C the parities of z & sx (rows) and
+    table[c] & sz (columns), those are R + C - 2 R C."""
     if not slots:
         return np.empty((0, 3))
-    hr = hw * r
+    hr = np.multiply(stack[1], stack[0], out=scratch[0])
     moved = np.array([m for _, _, strings in slots for masks in strings
                       for m in masks]).reshape(-1, 2)
     rows = _parity(grid.register, moved[:, 0]).astype(float)

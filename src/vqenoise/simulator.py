@@ -52,8 +52,11 @@ VALIDATE_TOL = 1e-10
 # 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
 # Peak bytes per entry of a Pauli-coefficient run's 2^n x 2^d grid and of
-# its heaviest term's 4^w support codes: traced peaks are 45.8 per grid
-# entry (H4 qeb) and 18.0 to 28.4 per code (weights 11 to 6).
+# its heaviest term's 4^w support codes. Traced peaks per grid entry on
+# the frozen H4 qeb circuit (gate_by_gate, element_by_element): 33.9 and
+# 41.8 for noisy_energy; 48.7 and 43.9 for chi's slot_shifts, 61.3 and
+# 57.1 when it builds its grid and flat positions. Per code: 18.0 to 28.4
+# (weights 11 to 6).
 PAULI_PEAK_BYTES = 64
 
 _SQ2 = 1.0 / math.sqrt(2.0)

@@ -8,6 +8,8 @@ references, slower routes through the package's own algebra that a fast
 path must match exactly (``jordan_wigner_by_sums``).
 """
 
+import math
+
 import numpy as np
 
 PAULI_2X2 = {
@@ -161,8 +163,6 @@ def molecular_hamiltonian_matrix(ints) -> np.ndarray:
 
 def _oracle_1q_matrix(gate) -> np.ndarray:
     """2x2 gate matrices written out independently of the package."""
-    import math
-
     if gate.kind == "h":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     if gate.kind in ("v", "vdg"):
@@ -460,6 +460,61 @@ def apply_element_kernel_oracle(state, element, theta: float):
         rotations = [(t, c, phased.conj()) for t, c, phased in rotations]
     apply_rotations_to_rows(state.data, rotations, scratch)
     return state
+
+
+def _three_array_codes(x_mask, z_mask, n_qubits, staircase):
+    """A term's codes over the codes of R's masks on P's support, as the
+    grid kernel first kept them: e, and for a staircase with channel slots
+    the slot counts s_a and s_b as separate uint8 arrays."""
+    from vqenoise.pauli_transfer import (
+        _pack, _scaled, _slot_bits, _term_slots,
+    )
+
+    support = x_mask | z_mask
+    masks = np.arange(support + 1)
+    masks = masks[(masks & ~support) == 0]
+    count = np.bitwise_count
+    e = count(masks[:, None] & masks)
+    e -= count((masks[:, None] ^ z_mask) & (masks ^ x_mask))
+    y_p = (x_mask & z_mask).bit_count()
+    e += (1 + y_p + 2 * count(masks & x_mask))[:, None]
+    e &= 3
+    if not staircase or support.bit_count() < 2:
+        return e[None]
+    pre, post = _term_slots(x_mask, z_mask, n_qubits)
+    (pre_cols, pre_rows), (post_cols, post_rows) = (
+        _slot_bits(masks, slots) for slots in (pre, post))
+    post_cols, post_rows = (v << 2 * len(pre) for v in (post_cols, post_rows))
+    index = np.arange(len(masks))
+    partner_cols = pre_cols[index ^ _pack(x_mask, support)]
+    partner_rows = pre_rows[index ^ _pack(z_mask, support)]
+    return np.stack([
+        e, _scaled(pre_cols | post_cols, pre_rows | post_rows),
+        _scaled(partner_cols | post_cols, partner_rows | post_rows),
+    ])
+
+
+def apply_term_oracle(r, grid, ps, phi, lam, staircase):
+    """diag(f_post) R_P(phi) diag(f_pre) r on one Pauli grid, returned as a
+    new array, as the grid kernel first computed it: gather keys broadcast
+    from the register and the column range, three code arrays, and factors
+    taken from the rotation and then multiplied by the powers of lam. The
+    kernel must equal it bit for bit."""
+    e, *scaled = _three_array_codes(ps.x_mask, ps.z_mask, ps.n_qubits,
+                                    staircase)
+    cos, sin = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    a = np.array([cos, 1.0, cos, 1.0]).take(e)
+    b = np.array([sin, 0.0, -sin, 0.0]).take(e)
+    if scaled:
+        powers = lam ** np.arange(2 * ps.weight - 1)
+        a *= powers.take(scaled[0])
+        b *= powers.take(scaled[1])
+    rows, cols = grid.codes(ps.x_mask | ps.z_mask)
+    columns = np.arange(len(grid.table))
+    index = ((grid.register ^ ps.z_mask)[:, None] * len(grid.table)
+             | columns ^ grid.coordinate[ps.x_mask])
+    partner = r.take(index) * b.take(cols, axis=1).take(rows, axis=0)
+    return r * a.take(cols, axis=1).take(rows, axis=0) + partner
 
 
 def pauli_coefficients(rho: np.ndarray, n_qubits: int) -> np.ndarray:

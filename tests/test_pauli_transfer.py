@@ -33,6 +33,7 @@ from vqenoise.pauli_transfer import (
     _Grid,
     circuit_steps,
     noisy_energy,
+    slot_shifts,
     span_table,
 )
 from vqenoise.simulator import (
@@ -40,6 +41,7 @@ from vqenoise.simulator import (
 )
 
 from oracles import (
+    apply_term_oracle,
     batched_susceptibility_oracle,
     depolarizing_oracle,
     gate_unitary,
@@ -123,6 +125,55 @@ def test_element_channels_match_dense(schedule, p):
     _apply_channels(r, *scratch(), FULL, schedule, 1.0 - 4.0 * p / 3.0)
     np.testing.assert_allclose(r, grid(channels_oracle(rho, schedule, p)),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0, -1e-3])
+@pytest.mark.parametrize("staircase", [False, True])
+@pytest.mark.parametrize("on", [FULL, SUB], ids=["full", "sub"])
+def test_term_map_bit_identical_to_oracle(on, staircase, p):
+    """Keys by one XOR on the shared flat positions and factors read from
+    one product table give the bits of the broadcast keys, three code
+    arrays and take-then-multiply factors, for every string the grid
+    holds."""
+    rng = np.random.default_rng(5)
+    lam = 1.0 - 4.0 * p / 3.0
+    for ps in STRINGS:
+        if ps.x_mask not in on.coordinate:
+            continue
+        r = rng.standard_normal((DIM, len(on.table)))
+        want = apply_term_oracle(r, on, ps, -0.61, lam, staircase)
+        _apply_term(r, *scratch(on), on, ps, -0.61, lam, staircase)
+        assert np.array_equal(r, want), ps.label
+
+
+@pytest.mark.parametrize("staircase", [False, True])
+@pytest.mark.parametrize("on", [FULL, SUB], ids=["full", "sub"])
+def test_stacked_term_map_equals_single_calls(on, staircase):
+    """A (2, R, D) stack takes one term map with the bits of two calls on
+    its grids."""
+    rng = np.random.default_rng(6)
+    for ps in STRINGS:
+        if ps.x_mask not in on.coordinate:
+            continue
+        stack = rng.standard_normal((2, DIM, len(on.table)))
+        singles = stack.copy()
+        for v in singles:
+            _apply_term(v, *scratch(on), on, ps, 0.37, 0.6, staircase)
+        _, index = scratch(on)
+        _apply_term(stack, np.empty_like(stack), index, on, ps, 0.37, 0.6,
+                    staircase)
+        assert np.array_equal(stack, singles), ps.label
+
+
+def test_grids_read_one_array_of_flat_positions():
+    """The gather keys of every grid shape are views of one read-only
+    array, kept between runs."""
+    full, sub = (pauli_transfer._flat_positions(DIM, len(on.table))
+                 for on in (FULL, SUB))
+    assert np.shares_memory(full, sub)
+    assert np.shares_memory(sub, pauli_transfer._positions)
+    assert not (full.flags.writeable or sub.flags.writeable)
+    assert sub.tolist() == np.arange(DIM * 4).reshape(DIM, 4).tolist()
 
 
 def test_span_table_is_linear():
@@ -285,9 +336,9 @@ def test_grids_are_kept_between_runs(circuits, scheme, monkeypatch):
     first = run()
     grid = pauli_transfer._span_grid(n, masks)
     assert pauli_transfer._span_grid(n, masks + masks[::-1]) is grid
-    arrays = [grid.register, grid.table, grid.columns,
+    arrays = [grid.register, grid.table,
               *(a for codes in grid._codes.values() for a in codes)]
-    assert len(arrays) > 3 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) > 2 and not any(a.flags.writeable for a in arrays)
     fresh = _Grid(n, masks)
     assert fresh.table.tobytes() == grid.table.tobytes()
     steps = circuit_steps(ansatz, params, scheme)
@@ -341,6 +392,56 @@ def test_run_allocates_no_full_register_array(circuits):
     finally:
         tracemalloc.stop()
     assert peak < PAULI_PEAK_BYTES * 2 ** (n + d)
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_chi_allocates_no_full_register_array(circuits, scheme, cold,
+                                              monkeypatch):
+    """Chi's forward and stacked backward pass peak below PAULI_PEAK_BYTES
+    per grid entry, also when the run builds its grid, the grid's support
+    codes and the kept flat positions."""
+    problem, ansatz, params = circuits["h4_qeb_frozen"]
+    reference = hartree_fock_index(problem.n_electrons)
+    n = problem.n_qubits
+    steps = circuit_steps(ansatz, params, scheme)
+    d = len(span_table(ps.x_mask for terms, _, _ in steps
+                       for ps, _ in terms)).bit_length() - 1
+
+    def run():
+        return slot_shifts(reference, steps, problem.hamiltonian, n)
+
+    run()  # fills the per-string caches, which outlive the call
+    if cold:
+        monkeypatch.setattr(pauli_transfer, "_grids", {})
+        monkeypatch.setattr(pauli_transfer, "_positions",
+                            pauli_transfer._positions[:0])
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PAULI_PEAK_BYTES * 2 ** (n + d)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_backward_pass_maps_each_term_once(circuits, scheme, monkeypatch):
+    """K terms take K term maps forward on r and K backward on the stack
+    (r, h), not one each for r and h."""
+    problem, ansatz, params = circuits["h4_qeb_frozen"]
+    steps = circuit_steps(ansatz, params, scheme)
+    apply_term, shapes = pauli_transfer._apply_term, []
+
+    def counted(r, *args):
+        shapes.append(r.shape[:-2])
+        return apply_term(r, *args)
+
+    monkeypatch.setattr(pauli_transfer, "_apply_term", counted)
+    slot_shifts(hartree_fock_index(problem.n_electrons), steps,
+                problem.hamiltonian, problem.n_qubits)
+    k = sum(len(terms) for terms, _, _ in steps)
+    assert shapes == [()] * k + [(2,)] * k
 
 
 def test_noiseless_and_empty_circuits(circuits, h2):

@@ -1,0 +1,57 @@
+"""Print the sha256 of one benchmark pass's canonical JSON per workload and
+seed, so that two checkouts can be compared for bit-identical outputs.
+
+    python3 tools/pass_digest.py [--workload chi ...] [--seeds 9] > digests
+
+prints one line ``workload seed sha256`` per pass, for seeds 0 .. N-1
+(every golden grid point at the default 9). Run it in each checkout and
+``diff`` the two files. It reads the checkout it sits in, imports
+``bench/workloads.py`` and ``bench/run.py`` as they are, and pins BLAS to
+one thread as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import run  # noqa: E402  (imports no numpy, so the BLAS pin below holds)
+
+
+def digests(names, seeds: int, size: str):
+    """(workload, seed, sha256 of ``run.canonical`` of one pass)."""
+    import workloads
+
+    for name in names:
+        for seed in range(seeds):
+            ctx = workloads.setup(name, size, seed)
+            text = run.canonical(workloads.run_pass(ctx))
+            yield name, seed, hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", action="append",
+                        choices=run.WORKLOAD_NAMES,
+                        help="repeat to pick several; default: all four")
+    parser.add_argument("--seeds", type=int, default=9,
+                        help="digest seeds 0 .. N-1 (default 9)")
+    parser.add_argument("--size", choices=("h4", "h2"), default="h4")
+    args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be positive")
+    os.environ.update({var: "1" for var in run.BLAS_THREAD_VARS})
+    for name, seed, digest in digests(args.workload or run.WORKLOAD_NAMES,
+                                      args.seeds, args.size):
+        print(name, seed, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

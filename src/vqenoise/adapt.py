@@ -86,6 +86,7 @@ class AdaptConfig:
     ``eps_opt`` is the optimizer gradient-norm cutoff, ``eps_halt`` the
     minimal energy improvement per accepted element, and
     ``eps_truncation`` the accuracy at which noiseless growth stops.
+    ``dense_limit`` caps the register of noisy growth's density matrix.
     """
 
     pool_kind: str = "fermionic"
@@ -373,7 +374,6 @@ def optimize_parameters(
     noise: NoiseModel = NOISELESS,
     optimizer: str = "bfgs",
     eps_opt: float = GRAD_NORM_CUTOFF,
-    dense_limit: int = DENSITY_LIMIT_DEFAULT,
     n_qubits: int | None = None,
 ) -> OptimizeResult:
     """Minimize the circuit energy over all ansatz parameters.
@@ -382,7 +382,8 @@ def optimize_parameters(
     the gradient norm reached ``eps_opt``. Without noise the energy is
     read from the state vector and the gradient is the exact adjoint one;
     with noise the energy is ``noisy_energy`` on the Pauli-transfer grid
-    and the gradient central differences of it.
+    and the gradient central differences of it. Neither path builds a
+    density matrix, so only the grid's memory charge limits the register.
     """
     params0 = np.asarray(params0, dtype=float)
     if not np.all(np.isfinite(params0)):
@@ -395,13 +396,10 @@ def optimize_parameters(
 
         def fun(params):
             return noisy_energy(reference, ansatz, params, h, noise.p,
-                                noise.scheme, n_qubits, dense_limit)
+                                noise.scheme, n_qubits)
     else:
         def run(params):
-            return run_circuit(
-                reference, ansatz, params, noise=noise,
-                n_qubits=n_qubits, dense_limit=dense_limit,
-            )
+            return run_circuit(reference, ansatz, params, n_qubits=n_qubits)
 
         run = _reuse_last(run)  # the gradient starts where fun just ran
         gradient = _adjoint_gradient(ansatz, h, run)
@@ -510,14 +508,11 @@ def finite_difference_pool_gradients(
     to the new element's own gates.
     """
     _check_registers(state, h, pool)
+    energy = _appended_energy(state, h, noise)
     grads = np.zeros(len(pool))
     for alpha, element in enumerate(pool.elements):
-        energies = []
-        for theta in (FD_STEP, -FD_STEP):
-            trial = state.copy()
-            apply_noisy_element(trial, element, theta, noise)
-            energies.append(expectation(h, trial))
-        grads[alpha] = (energies[0] - energies[1]) / (2.0 * FD_STEP)
+        plus, minus = (energy(element, theta) for theta in (FD_STEP, -FD_STEP))
+        grads[alpha] = (plus - minus) / (2.0 * FD_STEP)
     return grads
 
 
@@ -667,7 +662,7 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
             result = optimize_parameters(
                 trial_ansatz, np.append(params, 0.0), h, reference,
                 noise=config.noise, optimizer=config.optimizer,
-                eps_opt=config.eps_opt, dense_limit=config.dense_limit,
+                eps_opt=config.eps_opt,
             )
         except StalledError:
             status = "stalled"
@@ -716,7 +711,7 @@ def _grown_energy(problem, reference: int, ansatz: Ansatz, params,
         return noisy_energy(
             reference, ansatz.append(element), np.append(params, theta),
             problem.hamiltonian, config.noise.p, config.noise.scheme,
-            problem.n_qubits, config.dense_limit,
+            problem.n_qubits,
         )
 
     return energy

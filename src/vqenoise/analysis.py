@@ -33,15 +33,13 @@ from .ansatz import Ansatz
 from .exceptions import ConfigError, DimensionError, VqeNoiseError
 from .operators import QubitOperator, expectation
 from .pauli_transfer import circuit_steps, noisy_energy, slot_shifts
-from .simulator import (
-    DENSITY_LIMIT_DEFAULT, SCHEMES, check_circuit, run_circuit,
-)
+from .simulator import SCHEMES, check_circuit, run_circuit
 
 # Energy-accuracy target: chemical accuracy, in Hartree.
 CHEMICAL_ACCURACY = 1.6e-3
 # Relative bracket width at which the grid-crossing bisection stops.
 CROSSING_TOLERANCE = 0.05
-# Step for the density-matrix derivative cross-check of chi.
+# Step of chi's cross-check by finite differences of grid energies.
 DERIVATIVE_STEP = 1e-6
 
 SIGMAS = ("X", "Y", "Z")
@@ -225,7 +223,6 @@ def sweep_noise(
     fci_energy: float,
     scheme: str = "gate_by_gate",
     n_qubits: int | None = None,
-    dense_limit: int = DENSITY_LIMIT_DEFAULT,
 ) -> SweepTable:
     """Delta E(p, n) over every circuit prefix and probability.
 
@@ -233,7 +230,8 @@ def sweep_noise(
     fixes the cell semantics that parallel runners must reproduce. A p = 0
     cell runs the state-vector backend; a p > 0 cell runs
     ``noisy_energy`` on Pauli coefficients, which agrees with the dense
-    density-matrix run to rounding.
+    density-matrix run to rounding but builds none, so only its memory
+    charge limits the register.
     """
     p_values = tuple(float(p) for p in p_values)
     if not all(0.0 <= p <= 1.0 for p in p_values):  # NaN fails too
@@ -249,10 +247,8 @@ def sweep_noise(
         for row, p in enumerate(p_values):
             try:
                 if p > 0.0:
-                    energy = noisy_energy(
-                        reference, ansatz, params, h, p, scheme,
-                        n_qubits=n_qubits, dense_limit=dense_limit,
-                    )
+                    energy = noisy_energy(reference, ansatz, params, h, p,
+                                          scheme, n_qubits=n_qubits)
                 else:
                     energy = expectation(h, run_circuit(
                         reference, ansatz, params, n_qubits=n_qubits,

@@ -58,6 +58,7 @@ from .exceptions import (
 )
 from .simulator import (
     DENSITY_LIMIT_DEFAULT,
+    DENSITY_LIMIT_HARD,
     NoiseModel,
     SCHEMES,
     cnot_count,
@@ -194,7 +195,8 @@ def _validate(config):
     _require(config["zne_multiplier"] > 1.0, "zne_multiplier",
              "must exceed 1")
     _require(config["workers"] >= 0, "workers", "must be >= 0")
-    _require(config["dense_limit"] >= 1, "dense_limit", "must be >= 1")
+    _require(1 <= config["dense_limit"] <= DENSITY_LIMIT_HARD, "dense_limit",
+             f"must lie in [1, {DENSITY_LIMIT_HARD}]")
     if config["ansatz"] == "uccsd":
         _require(config["pool"] in ("fermionic", "qeb"), "pool",
                  "uccsd supports fermionic or qeb pools")
@@ -271,7 +273,7 @@ def grow_circuits(config, problem):
         result = optimize_parameters(
             full, np.zeros(full.n_params), problem.hamiltonian, reference,
             optimizer=config["optimizer"], eps_opt=config["eps_opt"],
-            dense_limit=config["dense_limit"], n_qubits=problem.n_qubits,
+            n_qubits=problem.n_qubits,
         )
         prefixes = [(n, Ansatz.from_elements(full.elements[:n]), result.x[:n])
                     for n in range(len(full.elements) + 1)]
@@ -392,7 +394,7 @@ def run_grids(config, grids):
         sweep_noise, prefixes, problem.hamiltonian,
         reference=hartree_fock_index(problem.n_electrons),
         fci_energy=problem.fci_energy, scheme=config["noise_scheme"],
-        n_qubits=problem.n_qubits, dense_limit=config["dense_limit"],
+        n_qubits=problem.n_qubits,
     )
     p_lists = [[p * config["noise_multiplier"]] for grid in grids
                for p in grid]

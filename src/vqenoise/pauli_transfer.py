@@ -48,11 +48,9 @@ from .ansatz import Ansatz
 from .exceptions import ConfigError, DimensionError, NumericIntegrityError
 from .operators import IMAG_TOL, PauliString, QubitOperator
 from .simulator import (
-    DENSITY_LIMIT_DEFAULT,
     DRIFT_TOL,
     PAULI_PEAK_BYTES,
     check_circuit,
-    check_density_limit,
     check_memory,
     compile_term,
 )
@@ -360,14 +358,23 @@ def circuit_steps(ansatz: Ansatz, params: np.ndarray, scheme: str):
     raise ConfigError(f"unknown noise scheme {scheme!r}")
 
 
-def _charged_grid(n_qubits: int, steps):
+def _charged_grid(n_qubits: int, steps, staircase: bool):
     """The span grid of the steps' terms, once memory holds PAULI_PEAK_BYTES
-    per grid entry and per support code of the heaviest term."""
+    per grid entry and per support code of the heaviest term, and what the
+    run adds to the kept arrays: the flat positions, 8 (2^n + 2^d) per
+    support packed on the grid and at most 2 * 4^w per string's codes."""
     strings = [ps for terms, _, _ in steps for ps, _ in terms]
     grid = _span_grid(n_qubits, [ps.x_mask for ps in strings])
-    weight = max((ps.weight for ps in strings), default=0)
-    check_memory(n_qubits, PAULI_PEAK_BYTES
-                 * ((len(grid.table) << n_qubits) + 4 ** weight))
+    masks = {(ps.x_mask, ps.z_mask) for ps in strings}
+    supports = {x | z for x, z in masks}
+    entries = len(grid.table) << n_qubits
+    kept = 8 * entries if len(_positions) < entries else 0
+    kept += 8 * (len(grid.register) + len(grid.table)) * sum(
+        support not in grid._codes for support in supports)
+    kept += sum(2 * 4 ** (x | z).bit_count() for x, z in masks
+                if (x, z, n_qubits, staircase) not in _term_codes.held)
+    weight = max(map(int.bit_count, supports), default=0)
+    check_memory(n_qubits, PAULI_PEAK_BYTES * (entries + 4 ** weight) + kept)
     return grid
 
 
@@ -445,7 +452,6 @@ def noisy_energy(
     p: float,
     scheme: str = "gate_by_gate",
     n_qubits: int | None = None,
-    dense_limit: int = DENSITY_LIMIT_DEFAULT,
 ) -> float:
     """Tr(H rho) after the reference determinant runs through the ansatz
     under per-CNOT depolarizing probability ``p``, on Pauli coefficients.
@@ -455,7 +461,8 @@ def noisy_energy(
     gate_by_gate term runs as diag(f_post) R_P diag(f_pre), its slots in
     f; element_by_element runs the terms exactly, then scales each r_R by
     lam to the after-slots on R's support. Equals ``expectation`` of the
-    ``run_circuit`` density matrix up to rounding.
+    ``run_circuit`` density matrix up to rounding, but builds none: only
+    ``check_memory``, on the grid's charge, limits the register.
 
     Any finite p runs: outside [0, 1] (the derivative probes of
     ``analysis.chi_from_density_derivative``) the map is not physical and
@@ -465,11 +472,10 @@ def noisy_energy(
         raise ConfigError(f"gate-error probability {p} is not finite")
     params, n = check_circuit(ansatz, params, n_qubits)
     _check_register(initial, h, n)
-    check_density_limit(n, dense_limit)
     steps = circuit_steps(ansatz, params, scheme)
-    grid = _charged_grid(n, steps)
-    r, _, _ = _evolve(grid, initial, steps, 1.0 - 4.0 * p / 3.0,
-                      scheme == "gate_by_gate")
+    staircase = scheme == "gate_by_gate"
+    grid = _charged_grid(n, steps, staircase)
+    r, _, _ = _evolve(grid, initial, steps, 1.0 - 4.0 * p / 3.0, staircase)
     _check_coefficients(r.reshape(-1), n, 0.0 <= p <= 1.0)
     return _energy(r, grid, h)
 
@@ -491,7 +497,7 @@ def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
     coeffs = np.fromiter(h.terms.values(), complex, len(h.terms))
     if np.abs(coeffs.imag).max(initial=0.0) > IMAG_TOL:
         raise NumericIntegrityError("hamiltonian has a complex coefficient")
-    grid = _charged_grid(n_qubits, steps)
+    grid = _charged_grid(n_qubits, steps, False)
     stack, partner, index = _evolve(grid, initial, steps, 1.0, False, (2,))
     r, hw = stack  # strings outside the span meet r = 0
     _check_coefficients(r.reshape(-1), n_qubits, physical=True)

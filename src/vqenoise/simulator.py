@@ -52,10 +52,11 @@ VALIDATE_TOL = 1e-10
 # 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
 # Peak bytes per entry of a Pauli-coefficient run's 2^n x 2^d grid and of
-# its heaviest term's 4^w support codes. Traced peaks per grid entry on
-# the frozen H4 qeb circuit (gate_by_gate, element_by_element): 33.9 and
-# 41.8 for noisy_energy; 48.7 and 43.9 for chi's slot_shifts, 61.3 and
-# 57.1 when it builds its grid and flat positions. Per code: 18.0 to 28.4
+# its heaviest term's 4^w support codes; what a run adds to the kept arrays
+# is charged on top. Traced peaks per grid entry on the frozen H4 qeb
+# circuit (gate_by_gate, element_by_element): 25.7 and 40.9 for
+# noisy_energy; 48.7 and 44.5 for chi's slot_shifts, 66.7 and 62.5 against
+# a charge of 82.7 when every cache starts empty. Per code: 18.0 to 28.4
 # (weights 11 to 6).
 PAULI_PEAK_BYTES = 64
 
@@ -504,18 +505,6 @@ def check_memory(n_qubits: int, need: int | None = None):
         )
 
 
-def check_density_limit(n_qubits: int, dense_limit: int):
-    if dense_limit > DENSITY_LIMIT_HARD:
-        raise ConfigError(
-            f"density limit {dense_limit} exceeds the hard cap "
-            f"{DENSITY_LIMIT_HARD}"
-        )
-    if n_qubits > dense_limit:
-        raise ResourceLimitError(
-            f"{n_qubits} qubits exceeds the density-matrix limit {dense_limit}"
-        )
-
-
 def run_circuit(
     initial: int,
     ansatz: Ansatz,
@@ -529,11 +518,20 @@ def run_circuit(
     Noiseless requests run on the vector backend with exact element
     evolution. With noise, gate_by_gate compiles to the staircase and
     depolarizes every CNOT target; element_by_element applies exact
-    element unitaries and then the per-element CNOT-target schedule.
+    element unitaries and then the per-element CNOT-target schedule, on a
+    density matrix of at most ``dense_limit`` qubits.
     """
     params, n = check_circuit(ansatz, params, n_qubits)
     if noise.is_noisy:
-        check_density_limit(n, dense_limit)
+        if dense_limit > DENSITY_LIMIT_HARD:
+            raise ConfigError(
+                f"density limit {dense_limit} exceeds the hard cap "
+                f"{DENSITY_LIMIT_HARD}"
+            )
+        if n > dense_limit:
+            raise ResourceLimitError(
+                f"{n} qubits exceeds the density-matrix limit {dense_limit}"
+            )
     state = QuantumState.from_basis_index(initial, n, density=noise.is_noisy)
     for element, theta in zip(ansatz.elements, params):
         if noise.is_noisy:

@@ -485,12 +485,14 @@ class TestSweepNoise:
                 record.reference_index, h2.fci_energy, n_qubits=h2.n_qubits,
             )
 
-    def test_errors_carry_grid_context(self, h2, h2_prefixes):
+    def test_errors_carry_grid_context(self, h2, h2_prefixes,
+                                       physical_memory):
         record, prefixes = h2_prefixes
+        physical_memory(4096)
         with pytest.raises(ResourceLimitError, match="p=0.001, n="):
             sweep_noise(
                 prefixes, h2.hamiltonian, [1e-3], record.reference_index,
-                h2.fci_energy, n_qubits=h2.n_qubits, dense_limit=2,
+                h2.fci_energy, n_qubits=h2.n_qubits,
             )
 
 

@@ -188,12 +188,30 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
 
     def test_register_too_large_exits_resource(self, tmp_path, capsys):
+        """Noisy growth builds a density matrix, which ``dense_limit``
+        caps."""
+        code = run_cli(
+            "sweep", "--set", "pool=qeb", "--set", "dense_limit=2",
+            "--set", "growth_p=1e-3", "--set", "p_grid=0.001",
+            "--workers", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_RESOURCE
+
+    def test_grid_runs_ignore_dense_limit(self, tmp_path, capsys):
+        """Noiseless growth and Pauli-grid sweep cells build no density
+        matrix, so ``dense_limit`` leaves them alone."""
         code = run_cli(
             "sweep", "--set", "pool=qeb", "--set", "dense_limit=2",
             "--set", "p_grid=0.001", "--workers", "1",
             "--out", str(tmp_path),
         )
-        assert code == EXIT_RESOURCE
+        assert code == EXIT_OK
+
+    def test_dense_limit_above_hard_cap_exits_config(self, tmp_path, capsys):
+        code = run_cli("sweep", "--set", "dense_limit=15",
+                       "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "dense_limit" in capsys.readouterr().err
 
     def test_memory_estimate_exits_resource(
         self, tmp_path, capsys, physical_memory

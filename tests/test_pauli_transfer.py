@@ -1,6 +1,7 @@
 """Noisy energies on Pauli-transfer coefficients against the dense
 density-matrix oracle: each exact rotation, each channel, whole circuits."""
 
+import functools
 import json
 import tracemalloc
 from pathlib import Path
@@ -426,6 +427,48 @@ def test_chi_allocates_no_full_register_array(circuits, scheme, cold,
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("entry", ["noisy_energy", "slot_shifts"])
+def test_cold_run_peaks_within_its_charge(circuits, entry, scheme,
+                                          monkeypatch):
+    """A run that starts with every cache empty (grids, flat positions,
+    string codes and slots) peaks within the bytes it asks
+    ``check_memory`` for: what it adds to the kept arrays is charged."""
+    problem, ansatz, params = circuits["h4_qeb_frozen"]
+    reference = hartree_fock_index(problem.n_electrons)
+    h, n = problem.hamiltonian, problem.n_qubits
+    steps = circuit_steps(ansatz, params, scheme)
+    run = {
+        "noisy_energy": lambda: noisy_energy(reference, ansatz, params, h,
+                                             1e-3, scheme),
+        "slot_shifts": lambda: slot_shifts(reference, steps, h, n),
+    }[entry]
+    check_memory, needs = pauli_transfer.check_memory, []
+
+    def recorded(n_qubits, need):
+        needs.append(need)
+        return check_memory(n_qubits, need)
+
+    monkeypatch.setattr(pauli_transfer, "check_memory", recorded)
+    monkeypatch.setattr(pauli_transfer, "_grids", {})
+    monkeypatch.setattr(pauli_transfer, "_positions",
+                        pauli_transfer._positions[:0])
+    monkeypatch.setattr(pauli_transfer, "_term_codes",
+                        pauli_transfer._CappedCache(
+                            pauli_transfer._build_codes,
+                            pauli_transfer.CODE_CACHE_BYTES))
+    monkeypatch.setattr(pauli_transfer, "_term_slots", functools.lru_cache(
+        maxsize=1024)(pauli_transfer._term_slots.__wrapped__))
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == 1
+    assert peak <= needs[0]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_backward_pass_maps_each_term_once(circuits, scheme, monkeypatch):
     """K terms take K term maps forward on r and K backward on the stack
     (r, h), not one each for r and h."""
@@ -522,18 +565,18 @@ class TestInputs:
         physical_memory(estimate)
         noisy_energy(3, ansatz, params, h2.hamiltonian, 1e-3)
 
-    def test_fourteen_qubit_grid_runs_on_eight_gigabytes(self,
-                                                         physical_memory):
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_grid_runs_on_eight_gigabytes(self, physical_memory, n):
         """A grid run is charged its 2^n x 2^d grid and its heaviest term's
-        4^w codes, not 4^n: with d = 1 and w = 2, 14 qubits run where 64 B
-        per 4^14 entries would not fit."""
-        n = 14
+        4^w codes, not 4^n, and no density-matrix limit applies: with d = 1
+        and w = 2, 14 and 16 qubits run where 64 B per 4^n entries would
+        not fit."""
         h = QubitOperator.from_term(PauliString({0: "Z"}, n))
         gen = QubitOperator.from_term(PauliString({0: "X", 1: "Y"}, n), 1j)
         ansatz = Ansatz.from_elements([AnsatzElement(generator=gen,
                                                      label="xy")])
         runs = (
-            lambda: noisy_energy(0, ansatz, [0.3], h, 1e-3, dense_limit=n),
+            lambda: noisy_energy(0, ansatz, [0.3], h, 1e-3),
             lambda: noise_susceptibility(ansatz, [0.3], h, 0),
         )
         physical_memory(8 * 10**9)

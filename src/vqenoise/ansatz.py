@@ -14,6 +14,7 @@ gate compiler and the exact evolution, which compiles it once into runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -300,7 +301,19 @@ POOL_BUILDERS = {
 }
 
 
+# Pools kept by ``build_pool``: only the last, so a process holds no more
+# than its last run used (a compiled 10-qubit qubit_pauli pool is about
+# 90 MB), and repeated builds of one pool in a row share it.
+POOL_CACHE_SIZE = 1
+
+
+@functools.lru_cache(maxsize=POOL_CACHE_SIZE)
 def build_pool(kind: str, n_spin_orbitals: int, n_electrons: int) -> Pool:
+    """The ``kind`` pool. The last one built is kept and returned again
+    for the same arguments, so an ADAPT run and a UCCSD build on one
+    register, or ADAPT runs at several noise levels, share one pool with
+    its compiled runs and Pauli actions: pools, elements and strings are
+    immutable. An unknown kind raises ``ConfigError`` and is not kept."""
     try:
         builder = POOL_BUILDERS[kind]
     except KeyError:

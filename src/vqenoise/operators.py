@@ -177,25 +177,28 @@ def _build_action(ps: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return (k ^ np.uint64(ps.x_mask)).astype(np.intp), phases
 
 
-def pauli_multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Multiply two Pauli strings.
-
-    Returns ``(phase, product)`` with ``phase`` in {+1, -1, +i, -i} such that
-    ``a @ b == phase * product`` as matrices.
-    """
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(
-            f"cannot multiply strings on {a.n_qubits} and {b.n_qubits} qubits"
-        )
-    x3 = a.x_mask ^ b.x_mask
-    z3 = a.z_mask ^ b.z_mask
-    y3 = (x3 & z3).bit_count()
-    ipow = (a.y_count + b.y_count - y3) % 4
-    phase = _I_POWERS[ipow]
+def _mask_product(xa: int, za: int, xb: int, zb: int):
+    """``(phase, x, z)`` with (masks xa, za) @ (masks xb, zb) equal to
+    ``phase`` times the string with masks (x, z), phase in {+1, -1, +i, -i}."""
+    x = xa ^ xb
+    z = za ^ zb
+    phase = _I_POWERS[((xa & za).bit_count() + (xb & zb).bit_count()
+                       - (x & z).bit_count()) % 4]
     # moving Z factors of a past X factors of b contributes a sign
-    if (a.z_mask & b.x_mask).bit_count() & 1:
+    if (za & xb).bit_count() & 1:
         phase = -phase
-    return phase, PauliString.from_masks(x3, z3, a.n_qubits)
+    return phase, x, z
+
+
+def _multiply_sums(terms_a, terms_b) -> dict[tuple[int, int], complex]:
+    """The product of two sums of ``((x, z), c)`` terms as ``{(x, z): c}``,
+    keyed in order of first appearance and not simplified."""
+    out: dict[tuple[int, int], complex] = {}
+    for (xa, za), ca in terms_a:
+        for (xb, zb), cb in terms_b:
+            phase, x, z = _mask_product(xa, za, xb, zb)
+            out[x, z] = out.get((x, z), 0.0) + ca * cb * phase
+    return out
 
 
 class QubitOperator:
@@ -293,14 +296,16 @@ class QubitOperator:
         return (-1.0) * self
 
     def __mul__(self, other):
+        """The operator product, summed on the terms' (x, z) masks with one
+        ``PauliString`` built per distinct product, or a scaled copy."""
         if isinstance(other, QubitOperator):
             self._check_same_register(other)
-            out: dict[PauliString, complex] = {}
-            for pa, ca in self._terms.items():
-                for pb, cb in other._terms.items():
-                    phase, prod = pauli_multiply(pa, pb)
-                    out[prod] = out.get(prod, 0.0) + ca * cb * phase
-            return QubitOperator(self.n_qubits, out)
+            n = self.n_qubits
+            out = _multiply_sums(*(
+                [((ps.x_mask, ps.z_mask), c) for ps, c in op._terms.items()]
+                for op in (self, other)))
+            return QubitOperator(n, {PauliString.from_masks(x, z, n): c
+                                     for (x, z), c in out.items()})
         if isinstance(other, (int, float, complex)):
             return QubitOperator(
                 self.n_qubits, {ps: c * other for ps, c in self._terms.items()}
@@ -508,37 +513,32 @@ class FermionOperator:
         return " + ".join(f"({c:.6g}) {fmt(p)}" for c, p in self._terms)
 
 
-def _jw_ladder(orbital: int, dagger: bool, n_spin_orbitals: int) -> QubitOperator:
-    """Jordan-Wigner image of a single ladder operator.
-
-    a_i^dag -> (X_i - iY_i)/2 * Z_{i-1}...Z_0 and a_i the conjugate; the Z
-    chain stores the fermionic sign of the occupations below orbital i.
-    """
-    chain = (1 << orbital) - 1
-    x_part = PauliString.from_masks(1 << orbital, chain, n_spin_orbitals)
-    y_part = PauliString.from_masks(
-        1 << orbital, chain | (1 << orbital), n_spin_orbitals
-    )
-    y_coeff = -0.5j if dagger else 0.5j
-    return QubitOperator(n_spin_orbitals, {x_part: 0.5, y_part: y_coeff})
-
-
 def jordan_wigner(op: FermionOperator, n_spin_orbitals: int) -> QubitOperator:
-    """Map a fermionic operator to qubits, one spin-orbital per qubit."""
+    """Map a fermionic operator to qubits, one spin-orbital per qubit:
+    a_i^dag -> (X_i - iY_i)/2 Z_{i-1}...Z_0, a_i its conjugate. Each product
+    is multiplied out ladder by ladder on (x, z) masks, dropping |c| <
+    ``COEFF_TOL`` after each factor as a ``QubitOperator`` product does, and
+    summed in place; each distinct string becomes one ``PauliString``."""
     if op.max_orbital >= n_spin_orbitals:
         raise DimensionError(
             f"orbital {op.max_orbital} does not fit in {n_spin_orbitals} spin-orbitals"
         )
-    total: dict[PauliString, complex] = {}
+    total: dict[tuple[int, int], complex] = {}
     for coeff, product in op.terms:
-        term = QubitOperator.identity(n_spin_orbitals, coeff)
+        term = {(0, 0): coeff} if abs(coeff) >= COEFF_TOL else {}
         for orbital, dagger in product:
-            term = term * _jw_ladder(orbital, dagger, n_spin_orbitals)
-        for ps, c in term._terms.items():  # as ``+`` merges, in place
-            total[ps] = total.get(ps, 0.0) + c
-            if abs(total[ps]) < COEFF_TOL:
-                del total[ps]
-    return QubitOperator(n_spin_orbitals, total)
+            bit = 1 << orbital
+            ladder = (((bit, bit - 1), 0.5 + 0.0j),
+                      ((bit, (bit << 1) - 1), -0.5j if dagger else 0.5j))
+            term = {key: c for key, c in _multiply_sums(term.items(), ladder)
+                    .items() if abs(c) >= COEFF_TOL}
+        for key, c in term.items():  # as ``+`` merges, in place
+            total[key] = total.get(key, 0.0) + c
+            if abs(total[key]) < COEFF_TOL:
+                del total[key]
+    n = n_spin_orbitals
+    return QubitOperator(n, {PauliString.from_masks(x, z, n): c
+                             for (x, z), c in total.items()})
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,19 +105,24 @@ def _term_slots(x_mask: int, z_mask: int, n_qubits: int):
     return slots[:len(slots) // 2], slots[len(slots) // 2:]
 
 
-def span_table(x_masks) -> np.ndarray:
-    """The 2^d masks of the GF(2) span of ``x_masks``, from a basis found by
-    XOR elimination: table[c] is the XOR of basis[i] over the set bits i
-    of c, so the XOR of two coordinates is the coordinate of the XOR of
-    their masks."""
+def _span_basis(x_masks) -> list[int]:
+    """A basis of the GF(2) span of ``x_masks``, found by XOR elimination;
+    its length is the span's dimension d."""
     basis: list[int] = []
     for x in x_masks:
         for b in basis:  # clears each earlier basis mask's leading bit
             x = min(x, x ^ b)
         if x:
             basis.append(x)
+    return basis
+
+
+def span_table(x_masks) -> np.ndarray:
+    """The 2^d masks of the GF(2) span of ``x_masks``: table[c] is the XOR
+    of basis[i] (``_span_basis``) over the set bits i of c, so the XOR of
+    two coordinates is the coordinate of the XOR of their masks."""
     table = np.zeros(1, dtype=np.intp)
-    for b in basis:
+    for b in _span_basis(x_masks):
         table = np.concatenate([table, table ^ b])
     return table
 
@@ -154,7 +159,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # Bytes of span grids kept between runs: 8 (2^n + 2^d) per grid and
 # 8 (2^n + 2^d) per support packed on it, 2.3 kB per support on H4. The
 # flat positions of the largest grid run, 8 2^(n+d), are kept apart
-# while they fit the same bound.
+# while they fit the same bound; larger ones live for one run.
 GRID_CACHE_BYTES = 32 << 20
 _grids: dict = {}  # least recently used first
 _positions = _read_only(np.arange(0))
@@ -163,7 +168,8 @@ _positions = _read_only(np.arange(0))
 def _flat_positions(rows: int, columns: int) -> np.ndarray:
     """Each grid entry's flat position z 2^d + c, arange(rows columns) as a
     (rows, columns) read-only view of the kept ``_positions``, which grows
-    to the largest grid run: every grid reads one array."""
+    to the largest grid run: every grid reads one array. Past
+    ``GRID_CACHE_BYTES`` a new array is returned, which the run keeps."""
     global _positions
     size = rows * columns
     if len(_positions) < size:
@@ -174,12 +180,12 @@ def _flat_positions(rows: int, columns: int) -> np.ndarray:
     return _positions[:size].reshape(rows, columns)
 
 
-def _span_grid(n_qubits: int, x_masks) -> _Grid:
-    """The kept ``_Grid`` of ``x_masks``, keyed on their first occurrences
-    (a repeated mask adds nothing to the span table). Grids used least
-    recently go while those kept hold over ``GRID_CACHE_BYTES``; the one
-    returned stays."""
-    key = (n_qubits, tuple(dict.fromkeys(x_masks)))
+def _span_grid(n_qubits: int, basis) -> _Grid:
+    """The kept ``_Grid`` on the span of ``basis`` (``_span_basis``), keyed
+    on it: masks with one basis share one table. Grids used least recently
+    go while those kept hold over ``GRID_CACHE_BYTES``; the one returned
+    stays."""
+    key = n_qubits, tuple(basis)
     grid = _grids.pop(key, None)
     if grid is None:
         grid = _Grid(*key)
@@ -313,15 +319,17 @@ def _term_factors(ps, phi, lam, staircase):
     return table[0].take(codes[0]), table[1].take(codes[-1])
 
 
-def _apply_term(r, partner, index, grid, ps, phi, lam, staircase):
+def _apply_term(r, partner, index, positions, grid, ps, phi, lam,
+                staircase):
     """r <- diag(f_post) R_P(phi) diag(f_pre) r in place on the grid, or on
     each grid of a stack r[..., z, c]: R xor P sits at (z ^ z_P, c ^ c_P),
-    flat position (z 2^d + c) xor (z_P 2^d + c_P). ``partner`` (r's shape)
-    and ``index`` (one grid's) are scratch: index holds the gather's keys,
-    then its bytes hold the factors spread over the grid."""
+    flat position (z 2^d + c) xor (z_P 2^d + c_P), with ``positions`` the
+    grid's ``_flat_positions``. ``partner`` (r's shape) and ``index`` (one
+    grid's) are scratch: index holds the gather's keys, then its bytes
+    hold the factors spread over the grid."""
     a, b = _term_factors(ps, phi, lam, staircase)
     rows, cols = grid.codes(ps.x_mask | ps.z_mask)
-    np.bitwise_xor(_flat_positions(*index.shape), ps.z_mask * len(grid.table)
+    np.bitwise_xor(positions, ps.z_mask * len(grid.table)
                    | grid.coordinate[ps.x_mask], out=index)
     # method calls and "clip" (the indices are in range) keep calls short
     r.reshape(*r.shape[:-2], -1).take(index, -1, partner, "clip")
@@ -361,42 +369,49 @@ def circuit_steps(ansatz: Ansatz, params: np.ndarray, scheme: str):
 def _charged_grid(n_qubits: int, steps, staircase: bool):
     """The span grid of the steps' terms, once memory holds PAULI_PEAK_BYTES
     per grid entry and per support code of the heaviest term, and what the
-    run adds to the kept arrays: the flat positions, 8 (2^n + 2^d) per
-    support packed on the grid and at most 2 * 4^w per string's codes."""
+    run adds to the kept arrays: the flat positions, 8 (2^n + 2^d) for a
+    grid not kept yet and per support packed on the grid, and at most
+    2 * 4^w per string's codes. A new grid is built after the charge,
+    its dimension d found on the masks alone."""
     strings = [ps for terms, _, _ in steps for ps, _ in terms]
-    grid = _span_grid(n_qubits, [ps.x_mask for ps in strings])
+    basis = _span_basis(dict.fromkeys(ps.x_mask for ps in strings))
+    grid = _grids.get((n_qubits, tuple(basis)))
     masks = {(ps.x_mask, ps.z_mask) for ps in strings}
     supports = {x | z for x, z in masks}
-    entries = len(grid.table) << n_qubits
+    entries = 1 << (n_qubits + len(basis))
     kept = 8 * entries if len(_positions) < entries else 0
-    kept += 8 * (len(grid.register) + len(grid.table)) * sum(
-        support not in grid._codes for support in supports)
+    packed = grid._codes if grid is not None else ()
+    kept += 8 * ((1 << n_qubits) + (1 << len(basis))) * (
+        (grid is None) + sum(support not in packed for support in supports))
     kept += sum(2 * 4 ** (x | z).bit_count() for x, z in masks
                 if (x, z, n_qubits, staircase) not in _term_codes.held)
     weight = max(map(int.bit_count, supports), default=0)
     check_memory(n_qubits, PAULI_PEAK_BYTES * (entries + 4 ** weight) + kept)
-    return grid
+    return _span_grid(n_qubits, basis)
 
 
 def _evolve(grid, initial, steps, lam, staircase, stack=()):
     """r on ``grid`` after the determinant ``initial`` walks ``steps`` with
-    channels of lam = 1 - 4p/3, and the scratch: a staircase's channels
-    sit in its term factors, otherwise each step's after-slots scale r.
-    With ``stack`` leading axes, r is the first grid of a zeroed stack of
-    that shape, which is returned with its scratch in place of r's."""
+    channels of lam = 1 - 4p/3, and the scratch with the grid's flat
+    positions, taken once per run: a staircase's channels sit in its term
+    factors, otherwise each step's after-slots scale r. With ``stack``
+    leading axes, r is the first grid of a zeroed stack of that shape,
+    which is returned with its scratch in place of r's."""
     shape = (*stack, len(grid.register), len(grid.table))
     r_stack, partner_stack = np.zeros(shape), np.empty(shape)
     index = np.empty(shape[-2:], dtype=np.intp)
+    positions = _flat_positions(*index.shape)
     first = (0,) * len(stack)
     r, partner = r_stack[first], partner_stack[first]
     r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
     for terms, _, after in steps:
         for ps, phi in terms:
-            _apply_term(r, partner, index, grid, ps, phi, lam, staircase)
+            _apply_term(r, partner, index, positions, grid, ps, phi, lam,
+                        staircase)
         if not staircase and lam != 1.0:
             _apply_channels(r, partner, index, grid,
                             [(qubit, count) for qubit, count, _ in after], lam)
-    return r_stack, partner_stack, index
+    return r_stack, partner_stack, index, positions
 
 
 def _energy(r, grid, h: QubitOperator) -> float:
@@ -475,7 +490,7 @@ def noisy_energy(
     steps = circuit_steps(ansatz, params, scheme)
     staircase = scheme == "gate_by_gate"
     grid = _charged_grid(n, steps, staircase)
-    r, _, _ = _evolve(grid, initial, steps, 1.0 - 4.0 * p / 3.0, staircase)
+    r = _evolve(grid, initial, steps, 1.0 - 4.0 * p / 3.0, staircase)[0]
     _check_coefficients(r.reshape(-1), n, 0.0 <= p <= 1.0)
     return _energy(r, grid, h)
 
@@ -498,7 +513,8 @@ def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
     if np.abs(coeffs.imag).max(initial=0.0) > IMAG_TOL:
         raise NumericIntegrityError("hamiltonian has a complex coefficient")
     grid = _charged_grid(n_qubits, steps, False)
-    stack, partner, index = _evolve(grid, initial, steps, 1.0, False, (2,))
+    stack, partner, index, positions = _evolve(grid, initial, steps, 1.0,
+                                               False, (2,))
     r, hw = stack  # strings outside the span meet r = 0
     _check_coefficients(r.reshape(-1), n_qubits, physical=True)
     for ps, coeff in zip(h.terms, coeffs.real.tolist()):
@@ -513,7 +529,8 @@ def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
         shifts[stop - len(slots):stop] = _score(grid, stack, partner, slots)
         stop -= len(slots)
         for ps, phi in reversed(terms):
-            _apply_term(stack, partner, index, grid, ps, -phi, 1.0, False)
+            _apply_term(stack, partner, index, positions, grid, ps, -phi,
+                        1.0, False)
         following = before
     shifts[:stop] = _score(grid, stack, partner, following)
     return e_unperturbed, shifts

@@ -56,7 +56,7 @@ DENSITY_PEAK_COPIES = 8
 # is charged on top. Traced peaks per grid entry on the frozen H4 qeb
 # circuit (gate_by_gate, element_by_element): 25.7 and 40.9 for
 # noisy_energy; 48.7 and 44.5 for chi's slot_shifts, 66.7 and 62.5 against
-# a charge of 82.7 when every cache starts empty. Per code: 18.0 to 28.4
+# a charge of 83.0 when every cache starts empty. Per code: 18.0 to 28.4
 # (weights 11 to 6).
 PAULI_PEAK_BYTES = 64
 

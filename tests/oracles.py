@@ -99,10 +99,41 @@ def fermion_operator_matrix(op, n_spin_orbitals: int) -> np.ndarray:
     return m
 
 
+def string_product(a, b):
+    """``(phase, product)`` of two ``PauliString`` objects, from their
+    Y counts: the string-level rule that ``operators._mask_product``
+    reproduces on bare masks."""
+    from vqenoise.operators import PauliString
+
+    x3 = a.x_mask ^ b.x_mask
+    z3 = a.z_mask ^ b.z_mask
+    phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[
+        (a.y_count + b.y_count - (x3 & z3).bit_count()) % 4]
+    if (a.z_mask & b.x_mask).bit_count() & 1:
+        phase = -phase
+    return phase, PauliString.from_masks(x3, z3, a.n_qubits)
+
+
+def product_by_strings(a, b):
+    """``a * b`` for QubitOperators, one ``string_product`` per pair of
+    terms, summed into a dict keyed on the product string: how the package
+    multiplied before it worked on masks. The mask product must give the
+    same terms, in the same order, with the same bits."""
+    from vqenoise.operators import QubitOperator
+
+    out = {}
+    for pa, ca in a.terms.items():
+        for pb, cb in b.terms.items():
+            phase, prod = string_product(pa, pb)
+            out[prod] = out.get(prod, 0.0) + ca * cb * phase
+    return QubitOperator(a.n_qubits, out)
+
+
 def jordan_wigner_by_sums(op, n_spin_orbitals: int):
     """``jordan_wigner`` as a sum of operators: each product's image is
-    added with ``QubitOperator.__add__``, which rebuilds the sum. The
-    package's in-place accumulation must give the same terms, in the same
+    multiplied out ladder by ladder with ``product_by_strings`` and added
+    with ``QubitOperator.__add__``, which rebuilds the sum. The package's
+    in-place accumulation on masks must give the same terms, in the same
     order, with the same bits."""
     from vqenoise.operators import PauliString, QubitOperator
 
@@ -118,7 +149,7 @@ def jordan_wigner_by_sums(op, n_spin_orbitals: int):
     for coeff, product in op.terms:
         term = QubitOperator.identity(n_spin_orbitals, coeff)
         for orbital, dagger in product:
-            term = term * ladder(orbital, dagger)
+            term = product_by_strings(term, ladder(orbital, dagger))
         total = total + term
     return total
 

@@ -1,12 +1,14 @@
 """Tests for operator pools and fixed ansaetze."""
 
 import itertools
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from vqenoise.ansatz import (
+    POOL_CACHE_SIZE,
     Ansatz,
     AnsatzElement,
     Pool,
@@ -318,6 +320,44 @@ class TestBuildPool:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_pool("hardware_efficient", 4, 2)
+
+
+class TestPoolMemo:
+    """``build_pool`` keeps the last POOL_CACHE_SIZE pools, per (kind,
+    n_spin_orbitals, n_electrons)."""
+
+    def test_one_pool_per_arguments(self):
+        pool = build_pool("qeb", 6, 2)
+        assert build_pool("qeb", 6, 2) is pool
+        assert build_uccsd(6, 2, "qeb").elements is pool.elements
+        keys = [("fermionic", 6, 2), ("qeb", 6, 4), ("qeb", 8, 2)]
+        others = [build_pool(*key) for key in keys]
+        assert all(other is not pool for other in others)
+        assert [(p.kind, p.n_qubits, p.n_electrons) for p in others] == keys
+
+    def test_unknown_kind_is_never_kept(self):
+        pool = build_pool("qeb", 4, 2)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                build_pool("hardware_efficient", 4, 2)
+        assert build_pool("qeb", 4, 2) is pool
+
+    def test_keeps_at_most_its_bound(self):
+        keys = [("qubit_pauli", n, 0) for n in range(2, 4 + POOL_CACHE_SIZE)]
+        pools = [build_pool(*key) for key in keys]
+        assert build_pool.cache_info().currsize <= POOL_CACHE_SIZE
+        assert build_pool(*keys[-1]) is pools[-1]
+        assert build_pool(*keys[0]) is not pools[0]  # the oldest went
+        assert build_pool(*keys[0]).elements[0].label == \
+            pools[0].elements[0].label
+
+    def test_kept_element_pickles_without_runs(self):
+        element = build_pool("fermionic", 4, 2).elements[-1]
+        runs = element.runs()
+        assert build_pool("fermionic", 4, 2).elements[-1].runs() is runs
+        loaded = pickle.loads(pickle.dumps(element))
+        assert loaded._runs is None
+        assert element._runs is runs
 
 
 class TestUccsd:

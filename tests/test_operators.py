@@ -10,8 +10,10 @@ from oracles import (
     jordan_wigner_by_sums,
     kron_pauli,
     ladder_matrix,
+    product_by_strings,
     qubit_operator_matrix,
 )
+from vqenoise import ansatz
 from vqenoise.chem import BUNDLED_MOLECULES, load_bundled
 from vqenoise.exceptions import (
     DimensionError,
@@ -19,20 +21,44 @@ from vqenoise.exceptions import (
     ResourceLimitError,
 )
 from vqenoise.operators import (
+    COEFF_TOL,
     FermionOperator,
     PauliString,
     QubitOperator,
     commutator,
     exact_spectrum,
     expectation,
+    _mask_product,
     jordan_wigner,
     pauli_action,
-    pauli_multiply,
 )
 
 
 def ps(label_map, n):
     return PauliString(label_map, n)
+
+
+def term_bits(op):
+    """Each term's register, masks and coefficient bits, in order; hex
+    keeps the sign of a zero."""
+    return [(p.n_qubits, p.x_mask, p.z_mask, c.real.hex(), c.imag.hex())
+            for p, c in op.terms.items()]
+
+
+def random_operator(rng, n, n_terms, width):
+    """The identity plus ``n_terms`` random strings on ``width`` of the
+    ``n`` qubits, so that products collide and merge."""
+    qubits = rng.choice(n, size=min(width, n), replace=False).tolist()
+    terms = {PauliString.identity(n): complex(rng.normal(), rng.normal())}
+    for _ in range(n_terms):
+        x = z = 0
+        for q in qubits:
+            bits = int(rng.integers(4))  # I, X, Z, Y
+            x |= (bits & 1) << q
+            z |= (bits >> 1) << q
+        terms[PauliString.from_masks(x, z, n)] = complex(rng.normal(),
+                                                         rng.normal())
+    return QubitOperator(n, terms)
 
 
 class TestPauliString:
@@ -120,6 +146,12 @@ class TestPauliActionCache:
         assert all(term._action is None for term in op.terms)
 
 
+def pauli_multiply(a, b):
+    """``(phase, a b / phase)`` for two strings, by ``_mask_product``."""
+    phase, x, z = _mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    return phase, PauliString.from_masks(x, z, a.n_qubits)
+
+
 class TestPauliMultiply:
     def test_involution(self):
         phase, prod = pauli_multiply(ps({0: "X"}, 1), ps({0: "X"}, 1))
@@ -138,7 +170,8 @@ class TestPauliMultiply:
 
     def test_mismatched_registers_rejected(self):
         with pytest.raises(DimensionError):
-            pauli_multiply(ps({0: "X"}, 1), ps({0: "X"}, 2))
+            QubitOperator(1, {ps({0: "X"}, 1): 1.0}) * \
+                QubitOperator(2, {ps({0: "X"}, 2): 1.0})
 
     @pytest.mark.parametrize("a", ["I", "X", "Y", "Z"])
     @pytest.mark.parametrize("b", ["I", "X", "Y", "Z"])
@@ -160,6 +193,48 @@ class TestPauliMultiply:
         ph4, a_bc = pauli_multiply(pa, bc)
         assert ab_c == a_bc
         assert ph1 * ph2 == pytest.approx(ph3 * ph4)
+
+
+class TestMaskProduct:
+    """``QubitOperator.__mul__`` on (x, z) masks against the product of
+    ``PauliString`` objects it replaced (``product_by_strings``)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, width", [(1, 1), (3, 3), (12, 4), (12, 12)])
+    def test_matches_string_products_bit_for_bit(self, n, width, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (random_operator(rng, n, 6, width) for _ in range(2))
+        for left, right in ((a, b), (b, a), (a, a), (a, a.dagger())):
+            assert term_bits(left * right) == \
+                term_bits(product_by_strings(left, right))
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_identity_factors(self, n):
+        rng = np.random.default_rng(n)
+        op = random_operator(rng, n, 5, 3)
+        for scale in (1.0, complex(rng.normal(), rng.normal())):
+            one = QubitOperator.identity(n, scale)
+            for left, right in ((one, op), (op, one), (one, one)):
+                assert term_bits(left * right) == \
+                    term_bits(product_by_strings(left, right))
+        assert term_bits(QubitOperator.identity(n) * op) == term_bits(op)
+
+    def test_cancellation_below_tolerance(self):
+        """(a X + b Y)(c X + d Y) has identity weight ac + bd: exactly zero
+        for a = b = c = 1, d = -1, and a rounding residue below COEFF_TOL
+        here; both are dropped, as by the string products."""
+        x, y = ps({0: "X"}, 2), ps({0: "Y"}, 2)
+        assert 0.0 < abs(0.1 * 0.9 + 0.3 * -0.3) < COEFF_TOL
+        for (a, b), (c, d) in (((1.0, 1.0), (1.0, -1.0)),
+                               ((0.1, 0.3), (0.9, -0.3))):
+            left = QubitOperator(2, {x: a, y: b})
+            right = QubitOperator(2, {x: c, y: d})
+            product = left * right
+            assert PauliString.identity(2) not in product.terms
+            assert term_bits(product) == \
+                term_bits(product_by_strings(left, right))
+        zero = QubitOperator(2, {x: 1.0, y: 1j})
+        assert (zero * zero).is_zero and product_by_strings(zero, zero).is_zero
 
 
 class TestQubitOperator:
@@ -341,6 +416,45 @@ class TestJordanWigner:
                 fermion_operator_matrix(op, n),
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_single_ladders_match_sums_bit_for_bit(self, n):
+        for orbital in range(n):
+            for dagger in (False, True):
+                op = FermionOperator.ladder(orbital, dagger)
+                assert term_bits(jordan_wigner(op, n)) == \
+                    term_bits(jordan_wigner_by_sums(op, n))
+
+    def test_tiny_products_drop_after_each_factor(self):
+        """A product whose weights fall below COEFF_TOL on its third ladder
+        (5e-12 / 8) is dropped there, as by a ``QubitOperator`` product, and
+        adds nothing to the strings it shares with the first product."""
+        hop = ((0, True), (1, False))
+        op = FermionOperator([(0.3, hop),
+                              (5e-12, hop + ((2, True), (2, False)))])
+        image = jordan_wigner(op, 3)
+        assert term_bits(image) == term_bits(jordan_wigner_by_sums(op, 3))
+        assert term_bits(image) == term_bits(
+            jordan_wigner(FermionOperator([(0.3, hop)]), 3))
+
+    @pytest.mark.parametrize("n, n_electrons", [(4, 2), (6, 2), (8, 4)])
+    def test_pool_generators_match_sums_bit_for_bit(self, n, n_electrons,
+                                                    monkeypatch):
+        """Every generator that the fermionic pool and k-UpCCGSD (k = 2)
+        map equals its image by sums, bit for bit."""
+        checked = []
+
+        def against_sums(op, n_spin_orbitals):
+            image = jordan_wigner(op, n_spin_orbitals)
+            assert term_bits(image) == \
+                term_bits(jordan_wigner_by_sums(op, n_spin_orbitals))
+            checked.append(image)
+            return image
+
+        monkeypatch.setattr(ansatz, "jordan_wigner", against_sums)
+        built = (ansatz.build_fermionic_pool(n, n_electrons).elements
+                 + ansatz.build_kupccgsd(n, n_electrons, 2).elements)
+        assert [e.generator for e in built] == checked
 
     @pytest.mark.parametrize("name", BUNDLED_MOLECULES)
     def test_accumulation_matches_sums_bit_for_bit(self, name):

@@ -73,6 +73,11 @@ def scratch(on=FULL):
     return np.empty(shape), np.empty(shape, dtype=np.intp)
 
 
+def term_scratch(on=FULL):
+    """``scratch`` and the grid's flat positions, as a term map takes them."""
+    return (*scratch(on), pauli_transfer._flat_positions(DIM, len(on.table)))
+
+
 def rotation_oracle(rho, ps, phi):
     """exp(i phi P) rho exp(-i phi P), densely."""
     u = np.cos(phi) * np.eye(DIM) + 1j * np.sin(phi) * kron_pauli(ps.paulis, N)
@@ -100,7 +105,7 @@ def channels_oracle(rho, schedule, p):
 def test_exact_rotation_matches_dense(ps):
     rho = random_density(N, seed=ps.x_mask + DIM * ps.z_mask)
     r = grid(rho)
-    _apply_term(r, *scratch(), FULL, ps, 0.37, 0.5, False)
+    _apply_term(r, *term_scratch(), FULL, ps, 0.37, 0.5, False)
     np.testing.assert_allclose(r, grid(rotation_oracle(rho, ps, 0.37)),
                                rtol=0, atol=1e-12)
 
@@ -113,7 +118,8 @@ def test_staircase_term_with_channels_matches_dense(ps, p):
     the term is diag(f_post) R_P diag(f_pre) on Pauli coefficients."""
     rho = random_density(N, seed=ps.x_mask + DIM * ps.z_mask)
     r = grid(rho)
-    _apply_term(r, *scratch(), FULL, ps, -0.61, 1.0 - 4.0 * p / 3.0, True)
+    _apply_term(r, *term_scratch(), FULL, ps, -0.61, 1.0 - 4.0 * p / 3.0,
+                True)
     np.testing.assert_allclose(r, grid(staircase_oracle(rho, ps, -0.61, p)),
                                rtol=0, atol=1e-12)
 
@@ -143,7 +149,7 @@ def test_term_map_bit_identical_to_oracle(on, staircase, p):
             continue
         r = rng.standard_normal((DIM, len(on.table)))
         want = apply_term_oracle(r, on, ps, -0.61, lam, staircase)
-        _apply_term(r, *scratch(on), on, ps, -0.61, lam, staircase)
+        _apply_term(r, *term_scratch(on), on, ps, -0.61, lam, staircase)
         assert np.array_equal(r, want), ps.label
 
 
@@ -159,10 +165,10 @@ def test_stacked_term_map_equals_single_calls(on, staircase):
         stack = rng.standard_normal((2, DIM, len(on.table)))
         singles = stack.copy()
         for v in singles:
-            _apply_term(v, *scratch(on), on, ps, 0.37, 0.6, staircase)
-        _, index = scratch(on)
-        _apply_term(stack, np.empty_like(stack), index, on, ps, 0.37, 0.6,
-                    staircase)
+            _apply_term(v, *term_scratch(on), on, ps, 0.37, 0.6, staircase)
+        _, index, positions = term_scratch(on)
+        _apply_term(stack, np.empty_like(stack), index, positions, on, ps,
+                    0.37, 0.6, staircase)
         assert np.array_equal(stack, singles), ps.label
 
 
@@ -202,8 +208,8 @@ def test_sub_span_term_matches_dense(ps, p):
     for staircase, want in ((False, rotation_oracle(rho, ps, -0.61)),
                             (True, staircase_oracle(rho, ps, -0.61, p))):
         r = grid(rho, SUB)
-        _apply_term(r, *scratch(SUB), SUB, ps, -0.61, 1.0 - 4.0 * p / 3.0,
-                    staircase)
+        _apply_term(r, *term_scratch(SUB), SUB, ps, -0.61,
+                    1.0 - 4.0 * p / 3.0, staircase)
         np.testing.assert_allclose(r, grid(want, SUB), rtol=0, atol=1e-12)
 
 
@@ -335,8 +341,9 @@ def test_grids_are_kept_between_runs(circuits, scheme, monkeypatch):
         return noisy_energy(reference, ansatz, params, h, 1e-3, scheme)
 
     first = run()
-    grid = pauli_transfer._span_grid(n, masks)
-    assert pauli_transfer._span_grid(n, masks + masks[::-1]) is grid
+    grid = pauli_transfer._span_grid(n, pauli_transfer._span_basis(masks))
+    assert pauli_transfer._span_grid(
+        n, pauli_transfer._span_basis(masks + masks[::-1])) is grid
     arrays = [grid.register, grid.table,
               *(a for codes in grid._codes.values() for a in codes)]
     assert len(arrays) > 2 and not any(a.flags.writeable for a in arrays)
@@ -466,6 +473,81 @@ def test_cold_run_peaks_within_its_charge(circuits, entry, scheme,
         tracemalloc.stop()
     assert len(needs) == 1
     assert peak <= needs[0]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("entry", ["noisy_energy", "slot_shifts"])
+def test_unkept_flat_positions_built_once_per_run(circuits, entry, scheme,
+                                                 monkeypatch):
+    """Past GRID_CACHE_BYTES a run's flat positions are not kept: the run
+    builds them once for all its term maps, not once per term, and its
+    outputs keep their bits."""
+    problem, ansatz, params = circuits["h4_qeb_frozen"]
+    reference = hartree_fock_index(problem.n_electrons)
+    h, n = problem.hamiltonian, problem.n_qubits
+    steps = circuit_steps(ansatz, params, scheme)
+
+    def run():
+        if entry == "noisy_energy":
+            return [noisy_energy(reference, ansatz, params, h, 1e-3, scheme)]
+        energy, shifts = slot_shifts(reference, steps, h, n)
+        return [energy, shifts.tobytes()]
+
+    want = run()
+    entries = len(span_table(ps.x_mask for terms, _, _ in steps
+                             for ps, _ in terms)) << n
+    monkeypatch.setattr(pauli_transfer, "GRID_CACHE_BYTES", 100)
+    monkeypatch.setattr(pauli_transfer, "_positions",
+                        pauli_transfer._positions[:0])
+    arange, sizes = np.arange, []
+
+    def counted(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "arange", counted)
+    assert run() == want
+    assert sizes.count(entries) == 1
+    assert len(pauli_transfer._positions) == 0
+
+
+def test_new_grid_is_charged_before_it_is_built(physical_memory,
+                                                monkeypatch):
+    """A cold 16-qubit run has allocated less than its grid's 8 2^n B
+    register when it calls ``check_memory``, and its charge exceeds a warm
+    run's by the flat positions, the new grid and its one packed support
+    (8 (2^n + 2^d) each) and the term's codes."""
+    n = 16
+    h = QubitOperator.from_term(PauliString({0: "Z"}, n))
+    gen = QubitOperator.from_term(PauliString({0: "X", 1: "Y"}, n), 1j)
+    ansatz = Ansatz.from_elements([AnsatzElement(generator=gen, label="xy")])
+    check_memory, calls = pauli_transfer.check_memory, []
+
+    def recorded(n_qubits, need):
+        calls.append((tracemalloc.get_traced_memory()[0], need))
+        return check_memory(n_qubits, need)
+
+    monkeypatch.setattr(pauli_transfer, "check_memory", recorded)
+    monkeypatch.setattr(pauli_transfer, "_grids", {})
+    monkeypatch.setattr(pauli_transfer, "_positions",
+                        pauli_transfer._positions[:0])
+    monkeypatch.setattr(pauli_transfer, "_term_codes",
+                        pauli_transfer._CappedCache(
+                            pauli_transfer._build_codes,
+                            pauli_transfer.CODE_CACHE_BYTES))
+    physical_memory(8 * 10**9)
+    tracemalloc.start()
+    try:
+        cold = noisy_energy(0, ansatz, [0.3], h, 1e-3)
+    finally:
+        tracemalloc.stop()
+    assert noisy_energy(0, ansatz, [0.3], h, 1e-3) == cold
+    (current, cold_need), (_, warm_need) = calls
+    assert current < 8 * 2**n
+    entries = 2 ** (n + 1)
+    assert cold_need - warm_need == (8 * entries + 2 * 8 * (2**n + 2)
+                                     + 2 * 4**2)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -74,9 +74,13 @@ class PauliString:
             raise DimensionError(
                 f"mask touches qubits outside register of {n_qubits} qubits"
             )
-        ps = cls(None, n_qubits)
+        if n_qubits <= 0:
+            raise DimensionError(f"register size must be positive, got {n_qubits}")
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "n_qubits", n_qubits)
         object.__setattr__(ps, "x_mask", x_mask)
         object.__setattr__(ps, "z_mask", z_mask)
+        object.__setattr__(ps, "_action", None)
         return ps
 
     @classmethod

@@ -20,9 +20,9 @@ terms' x masks, of dimension d (5 for the frozen H4 qeb circuit on 8
 qubits). A run keeps a 2^n x 2^d grid: rows z mask, column c the span
 mask ``table[c]``, with coordinates as linear as masks (``span_table``).
 Entry (z, c) sits at flat position z 2^d + c, so a term's gather keys
-are one XOR of the flat positions, one kept array that every grid reads.
-Each string's theta- and p-independent codes are kept between runs, up
-to ``CODE_CACHE_BYTES``, as one uint8 array per factor that indexes a
+are one XOR of the flat positions, which a run builds once. Each
+string's theta- and p-independent codes are kept between runs, up to
+``CODE_CACHE_BYTES``, as one uint8 array per factor that indexes a
 product table of rotation factors and channel powers; so is each span's
 grid with its packed support codes, up to ``GRID_CACHE_BYTES``.
 
@@ -156,46 +156,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Bytes of span grids kept between runs: 8 (2^n + 2^d) per grid and
-# 8 (2^n + 2^d) per support packed on it, 2.3 kB per support on H4. The
-# flat positions of the largest grid run, 8 2^(n+d), are kept apart
-# while they fit the same bound; larger ones live for one run.
-GRID_CACHE_BYTES = 32 << 20
-_grids: dict = {}  # least recently used first
-_positions = _read_only(np.arange(0))
-
-
-def _flat_positions(rows: int, columns: int) -> np.ndarray:
-    """Each grid entry's flat position z 2^d + c, arange(rows columns) as a
-    (rows, columns) read-only view of the kept ``_positions``, which grows
-    to the largest grid run: every grid reads one array. Past
-    ``GRID_CACHE_BYTES`` a new array is returned, which the run keeps."""
-    global _positions
-    size = rows * columns
-    if len(_positions) < size:
-        positions = _read_only(np.arange(size))
-        if positions.nbytes > GRID_CACHE_BYTES:
-            return positions.reshape(rows, columns)
-        _positions = positions
-    return _positions[:size].reshape(rows, columns)
-
-
-def _span_grid(n_qubits: int, basis) -> _Grid:
-    """The kept ``_Grid`` on the span of ``basis`` (``_span_basis``), keyed
-    on it: masks with one basis share one table. Grids used least recently
-    go while those kept hold over ``GRID_CACHE_BYTES``; the one returned
-    stays."""
-    key = n_qubits, tuple(basis)
-    grid = _grids.pop(key, None)
-    if grid is None:
-        grid = _Grid(*key)
-    _grids[key] = grid
-    held = sum(g.nbytes for g in _grids.values())
-    while held > GRID_CACHE_BYTES and len(_grids) > 1:
-        held -= _grids.pop(next(iter(_grids))).nbytes
-    return grid
-
-
 def _pack(values, support: int):
     """The bits of ``values`` (an int or an int array) on the ``support``
     qubits, packed in qubit order into the low bits: their code there."""
@@ -240,14 +200,15 @@ def _scaled(cols, rows):
 
 
 class _CappedCache:
-    """``build(*key)``'s array, kept read-only per key while those kept
+    """``build(*key)``'s read-only value, kept per key while those kept
     total at most ``limit`` bytes: the least recently used go first, and
-    an array larger than ``limit`` is never kept."""
+    a value larger than ``limit`` is returned but never kept. Each kept
+    value's ``nbytes`` is read again when one is built, since a kept
+    ``_Grid`` grows as supports are packed on it."""
 
     def __init__(self, build, limit: int):
         self.build, self.limit = build, limit
         self.held: dict = {}  # least recently used first
-        self.nbytes = 0
 
     def __call__(self, *key):
         value = self.held.pop(key, None)
@@ -255,19 +216,25 @@ class _CappedCache:
             value = self.build(*key)
             if value.nbytes > self.limit:
                 return value
-            value.flags.writeable = False  # every later call shares it
-            self.nbytes += value.nbytes
-            while self.nbytes > self.limit:
-                self.nbytes -= self.held.pop(next(iter(self.held))).nbytes
+            held = value.nbytes + sum(v.nbytes for v in self.held.values())
+            while held > self.limit:
+                held -= self.held.pop(next(iter(self.held))).nbytes
         self.held[key] = value
         return value
+
+
+# Bytes of span grids kept between runs: 8 (2^n + 2^d) per grid and
+# 8 (2^n + 2^d) per support packed on it, 2.3 kB per support on H4.
+GRID_CACHE_BYTES = 32 << 20
+_grids = _CappedCache(_Grid, GRID_CACHE_BYTES)  # keyed (n, span basis)
 
 
 def _build_codes(x_mask: int, z_mask: int, n_qubits: int, staircase: bool):
     """A term's theta- and p-independent codes over the codes of R's masks
     on P's support (rows z, columns x), as uint8: e (below), and for a
     staircase with channel slots e + 4 s_a and e + 4 s_b, with s the number
-    of slots that scale a_R and b_R (``term_slots``)."""
+    of slots that scale a_R and b_R (``term_slots``). Read-only, as
+    ``_term_codes`` shares it between runs."""
     support = x_mask | z_mask
     masks = np.arange(support + 1)
     masks = masks[(masks & ~support) == 0]  # by code on the support
@@ -282,7 +249,7 @@ def _build_codes(x_mask: int, z_mask: int, n_qubits: int, staircase: bool):
     e += (1 + y_p + 2 * count(masks & x_mask))[:, None]
     e &= 3
     if not staircase or support.bit_count() < 2:  # no CNOT, no slot
-        return e[None]
+        return _read_only(e[None])
     pre, post = _term_slots(x_mask, z_mask, n_qubits)
     (pre_cols, pre_rows), (post_cols, post_rows) = (
         _slot_bits(masks, slots) for slots in (pre, post))
@@ -291,10 +258,10 @@ def _build_codes(x_mask: int, z_mask: int, n_qubits: int, staircase: bool):
     index = np.arange(len(masks))
     partner_cols = pre_cols[index ^ _pack(x_mask, support)]
     partner_rows = pre_rows[index ^ _pack(z_mask, support)]
-    return np.stack([
+    return _read_only(np.stack([
         e + 4 * _scaled(pre_cols | post_cols, pre_rows | post_rows),
         e + 4 * _scaled(partner_cols | post_cols, partner_rows | post_rows),
-    ])
+    ]))
 
 
 # Worst-case bytes of the codes kept by ``_term_codes``: 2 * 4^w per string
@@ -324,9 +291,9 @@ def _apply_term(r, partner, index, positions, grid, ps, phi, lam,
     """r <- diag(f_post) R_P(phi) diag(f_pre) r in place on the grid, or on
     each grid of a stack r[..., z, c]: R xor P sits at (z ^ z_P, c ^ c_P),
     flat position (z 2^d + c) xor (z_P 2^d + c_P), with ``positions`` the
-    grid's ``_flat_positions``. ``partner`` (r's shape) and ``index`` (one
-    grid's) are scratch: index holds the gather's keys, then its bytes
-    hold the factors spread over the grid."""
+    run's flat positions of one grid (``_evolve``). ``partner`` (r's shape)
+    and ``index`` (one grid's) are scratch: index holds the gather's keys,
+    then its bytes hold the factors spread over the grid."""
     a, b = _term_factors(ps, phi, lam, staircase)
     rows, cols = grid.codes(ps.x_mask | ps.z_mask)
     np.bitwise_xor(positions, ps.z_mask * len(grid.table)
@@ -366,41 +333,39 @@ def circuit_steps(ansatz: Ansatz, params: np.ndarray, scheme: str):
     raise ConfigError(f"unknown noise scheme {scheme!r}")
 
 
-def _charged_grid(n_qubits: int, steps, staircase: bool):
+def _charged_grid(n_qubits: int, steps):
     """The span grid of the steps' terms, once memory holds PAULI_PEAK_BYTES
-    per grid entry and per support code of the heaviest term, and what the
-    run adds to the kept arrays: the flat positions, 8 (2^n + 2^d) for a
-    grid not kept yet and per support packed on the grid, and at most
-    2 * 4^w per string's codes. A new grid is built after the charge,
-    its dimension d found on the masks alone."""
+    per grid entry and per support code of the heaviest term, the run's
+    flat positions (8 B per grid entry), 8 (2^n + 2^d) for the grid and
+    per support packed on it, and 2 * 4^w per string's codes: the run's
+    charge as if no cache held any of them, so it reads no cache. The grid
+    is built after the charge, its dimension d found on the masks alone."""
     strings = [ps for terms, _, _ in steps for ps, _ in terms]
     basis = _span_basis(dict.fromkeys(ps.x_mask for ps in strings))
-    grid = _grids.get((n_qubits, tuple(basis)))
     masks = {(ps.x_mask, ps.z_mask) for ps in strings}
     supports = {x | z for x, z in masks}
-    entries = 1 << (n_qubits + len(basis))
-    kept = 8 * entries if len(_positions) < entries else 0
-    packed = grid._codes if grid is not None else ()
-    kept += 8 * ((1 << n_qubits) + (1 << len(basis))) * (
-        (grid is None) + sum(support not in packed for support in supports))
-    kept += sum(2 * 4 ** (x | z).bit_count() for x, z in masks
-                if (x, z, n_qubits, staircase) not in _term_codes.held)
     weight = max(map(int.bit_count, supports), default=0)
-    check_memory(n_qubits, PAULI_PEAK_BYTES * (entries + 4 ** weight) + kept)
-    return _span_grid(n_qubits, basis)
+    entries = 1 << (n_qubits + len(basis))
+    check_memory(n_qubits, PAULI_PEAK_BYTES * (entries + 4 ** weight)
+                 + 8 * entries
+                 + 8 * ((1 << n_qubits) + (1 << len(basis)))
+                 * (1 + len(supports))
+                 + sum(2 * 4 ** (x | z).bit_count() for x, z in masks))
+    return _grids(n_qubits, tuple(basis))
 
 
 def _evolve(grid, initial, steps, lam, staircase, stack=()):
     """r on ``grid`` after the determinant ``initial`` walks ``steps`` with
     channels of lam = 1 - 4p/3, and the scratch with the grid's flat
-    positions, taken once per run: a staircase's channels sit in its term
-    factors, otherwise each step's after-slots scale r. With ``stack``
-    leading axes, r is the first grid of a zeroed stack of that shape,
-    which is returned with its scratch in place of r's."""
+    positions, arange(2^(n+d)) as (2^n, 2^d), built once per run: a
+    staircase's channels sit in its term factors, otherwise each step's
+    after-slots scale r. With ``stack`` leading axes, r is the first grid
+    of a zeroed stack of that shape, which is returned with its scratch in
+    place of r's."""
     shape = (*stack, len(grid.register), len(grid.table))
     r_stack, partner_stack = np.zeros(shape), np.empty(shape)
     index = np.empty(shape[-2:], dtype=np.intp)
-    positions = _flat_positions(*index.shape)
+    positions = np.arange(index.size).reshape(index.shape)
     first = (0,) * len(stack)
     r, partner = r_stack[first], partner_stack[first]
     r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
@@ -489,7 +454,7 @@ def noisy_energy(
     _check_register(initial, h, n)
     steps = circuit_steps(ansatz, params, scheme)
     staircase = scheme == "gate_by_gate"
-    grid = _charged_grid(n, steps, staircase)
+    grid = _charged_grid(n, steps)
     r = _evolve(grid, initial, steps, 1.0 - 4.0 * p / 3.0, staircase)[0]
     _check_coefficients(r.reshape(-1), n, 0.0 <= p <= 1.0)
     return _energy(r, grid, h)
@@ -512,7 +477,7 @@ def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
     coeffs = np.fromiter(h.terms.values(), complex, len(h.terms))
     if np.abs(coeffs.imag).max(initial=0.0) > IMAG_TOL:
         raise NumericIntegrityError("hamiltonian has a complex coefficient")
-    grid = _charged_grid(n_qubits, steps, False)
+    grid = _charged_grid(n_qubits, steps)
     stack, partner, index, positions = _evolve(grid, initial, steps, 1.0,
                                                False, (2,))
     r, hw = stack  # strings outside the span meet r = 0

@@ -52,12 +52,12 @@ VALIDATE_TOL = 1e-10
 # 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
 # Peak bytes per entry of a Pauli-coefficient run's 2^n x 2^d grid and of
-# its heaviest term's 4^w support codes; what a run adds to the kept arrays
-# is charged on top. Traced peaks per grid entry on the frozen H4 qeb
-# circuit (gate_by_gate, element_by_element): 25.7 and 40.9 for
-# noisy_energy; 48.7 and 44.5 for chi's slot_shifts, 66.7 and 62.5 against
-# a charge of 83.0 when every cache starts empty. Per code: 18.0 to 28.4
-# (weights 11 to 6).
+# its heaviest term's 4^w support codes; the run's flat positions and what
+# it may add to the kept arrays are charged on top. Traced peaks per grid
+# entry on the frozen H4 qeb circuit (gate_by_gate, element_by_element):
+# 33.7 and 49.5 for noisy_energy, 64.7 and 59.4 when every cache starts
+# empty; 58.4 and 52.5 for chi's slot_shifts, 66.6 and 62.4 cold; every
+# run is charged 83.0. Per code: 18.0 to 28.4 (weights 11 to 6).
 PAULI_PEAK_BYTES = 64
 
 _SQ2 = 1.0 / math.sqrt(2.0)

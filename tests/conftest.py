@@ -36,11 +36,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def physical_memory(monkeypatch):
-    """Set the installed memory, in bytes, that the memory guard
+    """Set the installed memory, to the byte, that the memory guard
     (``check_memory``) reads through ``os.sysconf``; nothing is
     allocated."""
     def set_memory(total):
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": total // 4096}
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": total}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     return set_memory
 

@@ -30,7 +30,6 @@ from vqenoise.exceptions import (
     ResourceLimitError,
 )
 from vqenoise.operators import PauliString, QubitOperator, expectation
-from vqenoise.pauli_transfer import span_table
 from vqenoise.simulator import (
     PAULI_PEAK_BYTES,
     NoiseModel,
@@ -46,6 +45,7 @@ from oracles import (
     apply_element_kernel_oracle,
     apply_gate_kernel_oracle,
     depolarize_kernel_oracle,
+    grid_charge,
     qubit_operator_matrix,
     susceptibility_oracle,
 )
@@ -321,9 +321,7 @@ class TestNoiseSusceptibility:
         ansatz, params, hf, _ = qeb_h2
         strings = [ps for element in ansatz.elements
                    for ps, _ in element.terms]
-        estimate = PAULI_PEAK_BYTES * (
-            len(span_table(ps.x_mask for ps in strings)) * 2**h2.n_qubits
-            + 4 ** max(ps.weight for ps in strings))
+        estimate = grid_charge(h2.n_qubits, strings, PAULI_PEAK_BYTES)
         physical_memory(estimate - 4096)
         with pytest.raises(ResourceLimitError):
             noise_susceptibility(ansatz, params, h2.hamiltonian, hf)

@@ -73,10 +73,24 @@ class TestPauliString:
         assert p.paulis == {0: "X", 2: "Y", 3: "Z"}
         assert p.weight == 3
         assert p.y_count == 1
+        # built from masks (x 0b00101, z 0b01100): equal, same hash, and
+        # pickled like a dict-built string
+        q = PauliString.from_masks(0b00101, 0b01100, 5)
+        assert q == p and hash(q) == hash(p) and q.paulis == p.paulis
+        assert (q.n_qubits, q.x_mask, q.z_mask, q._action) == (5, 5, 12, None)
+        assert pickle.dumps(q) == pickle.dumps(p)
+        loaded = pickle.loads(pickle.dumps(q))
+        assert loaded == p and loaded._action is None
+        with pytest.raises(AttributeError):
+            q.x_mask = 0
 
     def test_out_of_range_qubit_rejected(self):
         with pytest.raises(DimensionError):
             ps({4: "X"}, 4)
+        with pytest.raises(DimensionError):
+            PauliString.from_masks(0, 1 << 4, 4)
+        with pytest.raises(DimensionError):
+            PauliString.from_masks(0, 0, 0)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,7 @@ from oracles import (
     batched_susceptibility_oracle,
     depolarizing_oracle,
     gate_unitary,
+    grid_charge,
     kron_pauli,
     pauli_coefficients,
     random_density,
@@ -75,7 +76,19 @@ def scratch(on=FULL):
 
 def term_scratch(on=FULL):
     """``scratch`` and the grid's flat positions, as a term map takes them."""
-    return (*scratch(on), pauli_transfer._flat_positions(DIM, len(on.table)))
+    return (*scratch(on), np.arange(DIM * len(on.table)).reshape(DIM, -1))
+
+
+def empty_caches(monkeypatch):
+    """Install empty caches of grids, string codes and slots."""
+    monkeypatch.setattr(pauli_transfer, "_grids", pauli_transfer._CappedCache(
+        _Grid, pauli_transfer.GRID_CACHE_BYTES))
+    monkeypatch.setattr(pauli_transfer, "_term_codes",
+                        pauli_transfer._CappedCache(
+                            pauli_transfer._build_codes,
+                            pauli_transfer.CODE_CACHE_BYTES))
+    monkeypatch.setattr(pauli_transfer, "_term_slots", functools.lru_cache(
+        maxsize=1024)(pauli_transfer._term_slots.__wrapped__))
 
 
 def rotation_oracle(rho, ps, phi):
@@ -138,7 +151,7 @@ def test_element_channels_match_dense(schedule, p):
 @pytest.mark.parametrize("staircase", [False, True])
 @pytest.mark.parametrize("on", [FULL, SUB], ids=["full", "sub"])
 def test_term_map_bit_identical_to_oracle(on, staircase, p):
-    """Keys by one XOR on the shared flat positions and factors read from
+    """Keys by one XOR on the run's flat positions and factors read from
     one product table give the bits of the broadcast keys, three code
     arrays and take-then-multiply factors, for every string the grid
     holds."""
@@ -170,17 +183,6 @@ def test_stacked_term_map_equals_single_calls(on, staircase):
         _apply_term(stack, np.empty_like(stack), index, positions, on, ps,
                     0.37, 0.6, staircase)
         assert np.array_equal(stack, singles), ps.label
-
-
-def test_grids_read_one_array_of_flat_positions():
-    """The gather keys of every grid shape are views of one read-only
-    array, kept between runs."""
-    full, sub = (pauli_transfer._flat_positions(DIM, len(on.table))
-                 for on in (FULL, SUB))
-    assert np.shares_memory(full, sub)
-    assert np.shares_memory(sub, pauli_transfer._positions)
-    assert not (full.flags.writeable or sub.flags.writeable)
-    assert sub.tolist() == np.arange(DIM * 4).reshape(DIM, 4).tolist()
 
 
 def test_span_table_is_linear():
@@ -341,9 +343,10 @@ def test_grids_are_kept_between_runs(circuits, scheme, monkeypatch):
         return noisy_energy(reference, ansatz, params, h, 1e-3, scheme)
 
     first = run()
-    grid = pauli_transfer._span_grid(n, pauli_transfer._span_basis(masks))
-    assert pauli_transfer._span_grid(
-        n, pauli_transfer._span_basis(masks + masks[::-1])) is grid
+    kept = pauli_transfer._grids.held
+    grid = kept[n, tuple(pauli_transfer._span_basis(masks))]
+    assert pauli_transfer._grids(
+        n, tuple(pauli_transfer._span_basis(masks + masks[::-1]))) is grid
     arrays = [grid.register, grid.table,
               *(a for codes in grid._codes.values() for a in codes)]
     assert len(arrays) > 2 and not any(a.flags.writeable for a in arrays)
@@ -363,19 +366,29 @@ def test_grids_are_kept_between_runs(circuits, scheme, monkeypatch):
 
 
 def test_grid_cache_keeps_at_most_its_bytes(monkeypatch):
-    """Past GRID_CACHE_BYTES the least recently used grids go, but never
-    the one a run is using."""
-    monkeypatch.setattr(pauli_transfer, "_grids", {})
-    monkeypatch.setattr(pauli_transfer, "GRID_CACHE_BYTES", 1)
-    kept = pauli_transfer._grids
-    first = pauli_transfer._span_grid(4, [0b0011])
-    assert pauli_transfer._span_grid(4, [0b0011]) is first
-    second = pauli_transfer._span_grid(4, [0b0110])
+    """Past its limit the grid cache lets the least recently used grids
+    go, counting the supports packed on them since they were kept, and
+    keeps no grid larger than the limit."""
+    assert pauli_transfer._grids.build is _Grid
+    assert pauli_transfer._grids.limit == pauli_transfer.GRID_CACHE_BYTES
+    size = _Grid(4, [0b0011]).nbytes
+    grids = pauli_transfer._CappedCache(_Grid, size)
+    monkeypatch.setattr(pauli_transfer, "_grids", grids)
+    kept = grids.held
+    first = pauli_transfer._grids(4, (0b0011,))
+    assert pauli_transfer._grids(4, (0b0011,)) is first
+    second = pauli_transfer._grids(4, (0b0110,))
     assert list(kept.values()) == [second]
-    monkeypatch.setattr(pauli_transfer, "GRID_CACHE_BYTES",
-                        first.nbytes + second.nbytes)
-    assert pauli_transfer._span_grid(4, [0b0011]) is not first
-    assert len(kept) == 2
+    grids.limit = 2 * size
+    again = pauli_transfer._grids(4, (0b0011,))
+    assert again is not first
+    assert list(kept.values()) == [second, again]
+    again.codes(0b0011)  # grows a kept grid past the limit's share
+    third = pauli_transfer._grids(4, (0b0101,))
+    assert list(kept.values()) == [third]
+    grids.limit = size - 1
+    assert pauli_transfer._grids(4, (0b1001,)).nbytes == size
+    assert list(kept.values()) == [third]
 
 
 def test_run_allocates_no_full_register_array(circuits):
@@ -407,8 +420,8 @@ def test_run_allocates_no_full_register_array(circuits):
 def test_chi_allocates_no_full_register_array(circuits, scheme, cold,
                                               monkeypatch):
     """Chi's forward and stacked backward pass peak below PAULI_PEAK_BYTES
-    per grid entry, also when the run builds its grid, the grid's support
-    codes and the kept flat positions."""
+    per grid entry, also when the run builds its grid and the grid's
+    support codes."""
     problem, ansatz, params = circuits["h4_qeb_frozen"]
     reference = hartree_fock_index(problem.n_electrons)
     n = problem.n_qubits
@@ -421,9 +434,9 @@ def test_chi_allocates_no_full_register_array(circuits, scheme, cold,
 
     run()  # fills the per-string caches, which outlive the call
     if cold:
-        monkeypatch.setattr(pauli_transfer, "_grids", {})
-        monkeypatch.setattr(pauli_transfer, "_positions",
-                            pauli_transfer._positions[:0])
+        monkeypatch.setattr(pauli_transfer, "_grids",
+                            pauli_transfer._CappedCache(
+                                _Grid, pauli_transfer.GRID_CACHE_BYTES))
     tracemalloc.start()
     try:
         run()
@@ -437,9 +450,9 @@ def test_chi_allocates_no_full_register_array(circuits, scheme, cold,
 @pytest.mark.parametrize("entry", ["noisy_energy", "slot_shifts"])
 def test_cold_run_peaks_within_its_charge(circuits, entry, scheme,
                                           monkeypatch):
-    """A run that starts with every cache empty (grids, flat positions,
-    string codes and slots) peaks within the bytes it asks
-    ``check_memory`` for: what it adds to the kept arrays is charged."""
+    """A run that starts with every cache empty (grids, string codes and
+    slots) peaks within the bytes it asks ``check_memory`` for: what it
+    adds to the kept arrays is charged."""
     problem, ansatz, params = circuits["h4_qeb_frozen"]
     reference = hartree_fock_index(problem.n_electrons)
     h, n = problem.hamiltonian, problem.n_qubits
@@ -456,15 +469,7 @@ def test_cold_run_peaks_within_its_charge(circuits, entry, scheme,
         return check_memory(n_qubits, need)
 
     monkeypatch.setattr(pauli_transfer, "check_memory", recorded)
-    monkeypatch.setattr(pauli_transfer, "_grids", {})
-    monkeypatch.setattr(pauli_transfer, "_positions",
-                        pauli_transfer._positions[:0])
-    monkeypatch.setattr(pauli_transfer, "_term_codes",
-                        pauli_transfer._CappedCache(
-                            pauli_transfer._build_codes,
-                            pauli_transfer.CODE_CACHE_BYTES))
-    monkeypatch.setattr(pauli_transfer, "_term_slots", functools.lru_cache(
-        maxsize=1024)(pauli_transfer._term_slots.__wrapped__))
+    empty_caches(monkeypatch)
     tracemalloc.start()
     try:
         run()
@@ -479,9 +484,9 @@ def test_cold_run_peaks_within_its_charge(circuits, entry, scheme,
 @pytest.mark.parametrize("entry", ["noisy_energy", "slot_shifts"])
 def test_unkept_flat_positions_built_once_per_run(circuits, entry, scheme,
                                                  monkeypatch):
-    """Past GRID_CACHE_BYTES a run's flat positions are not kept: the run
-    builds them once for all its term maps, not once per term, and its
-    outputs keep their bits."""
+    """A run's flat positions are not kept: the run builds them once for
+    all its term maps, not once per term, and its outputs keep their
+    bits."""
     problem, ansatz, params = circuits["h4_qeb_frozen"]
     reference = hartree_fock_index(problem.n_electrons)
     h, n = problem.hamiltonian, problem.n_qubits
@@ -496,9 +501,6 @@ def test_unkept_flat_positions_built_once_per_run(circuits, entry, scheme,
     want = run()
     entries = len(span_table(ps.x_mask for terms, _, _ in steps
                              for ps, _ in terms)) << n
-    monkeypatch.setattr(pauli_transfer, "GRID_CACHE_BYTES", 100)
-    monkeypatch.setattr(pauli_transfer, "_positions",
-                        pauli_transfer._positions[:0])
     arange, sizes = np.arange, []
 
     def counted(*args, **kwargs):
@@ -509,15 +511,14 @@ def test_unkept_flat_positions_built_once_per_run(circuits, entry, scheme,
     monkeypatch.setattr(np, "arange", counted)
     assert run() == want
     assert sizes.count(entries) == 1
-    assert len(pauli_transfer._positions) == 0
 
 
 def test_new_grid_is_charged_before_it_is_built(physical_memory,
                                                 monkeypatch):
     """A cold 16-qubit run has allocated less than its grid's 8 2^n B
-    register when it calls ``check_memory``, and its charge exceeds a warm
-    run's by the flat positions, the new grid and its one packed support
-    (8 (2^n + 2^d) each) and the term's codes."""
+    register when it calls ``check_memory``, and a warm run is charged as
+    much: the flat positions, the grid and its one packed support
+    (8 (2^n + 2^d) each) and the term's codes on top of the peak."""
     n = 16
     h = QubitOperator.from_term(PauliString({0: "Z"}, n))
     gen = QubitOperator.from_term(PauliString({0: "X", 1: "Y"}, n), 1j)
@@ -529,13 +530,7 @@ def test_new_grid_is_charged_before_it_is_built(physical_memory,
         return check_memory(n_qubits, need)
 
     monkeypatch.setattr(pauli_transfer, "check_memory", recorded)
-    monkeypatch.setattr(pauli_transfer, "_grids", {})
-    monkeypatch.setattr(pauli_transfer, "_positions",
-                        pauli_transfer._positions[:0])
-    monkeypatch.setattr(pauli_transfer, "_term_codes",
-                        pauli_transfer._CappedCache(
-                            pauli_transfer._build_codes,
-                            pauli_transfer.CODE_CACHE_BYTES))
+    empty_caches(monkeypatch)
     physical_memory(8 * 10**9)
     tracemalloc.start()
     try:
@@ -546,8 +541,9 @@ def test_new_grid_is_charged_before_it_is_built(physical_memory,
     (current, cold_need), (_, warm_need) = calls
     assert current < 8 * 2**n
     entries = 2 ** (n + 1)
-    assert cold_need - warm_need == (8 * entries + 2 * 8 * (2**n + 2)
-                                     + 2 * 4**2)
+    assert cold_need == warm_need == (
+        PAULI_PEAK_BYTES * (entries + 4**2) + 8 * entries
+        + 2 * 8 * (2**n + 2) + 2 * 4**2)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -638,9 +634,7 @@ class TestInputs:
         _, ansatz, params = circuits["h2_qeb"]
         strings = [ps for element in ansatz.elements
                    for ps, _ in element.terms]
-        estimate = PAULI_PEAK_BYTES * (
-            len(span_table(ps.x_mask for ps in strings)) * 2**h2.n_qubits
-            + 4 ** max(ps.weight for ps in strings))
+        estimate = grid_charge(h2.n_qubits, strings, PAULI_PEAK_BYTES)
         physical_memory(estimate - 4096)
         with pytest.raises(ResourceLimitError):
             noisy_energy(3, ansatz, params, h2.hamiltonian, 1e-3)
@@ -652,7 +646,7 @@ class TestInputs:
         """A grid run is charged its 2^n x 2^d grid and its heaviest term's
         4^w codes, not 4^n, and no density-matrix limit applies: with d = 1
         and w = 2, 14 and 16 qubits run where 64 B per 4^n entries would
-        not fit."""
+        not fit, and are refused 4096 B below their charge."""
         h = QubitOperator.from_term(PauliString({0: "Z"}, n))
         gen = QubitOperator.from_term(PauliString({0: "X", 1: "Y"}, n), 1j)
         ansatz = Ansatz.from_elements([AnsatzElement(generator=gen,
@@ -664,11 +658,15 @@ class TestInputs:
         physical_memory(8 * 10**9)
         for run in runs:
             run()
-        charge = PAULI_PEAK_BYTES * (2 ** (n + 1) + 4**2)
+        assert 8 * 10**9 < PAULI_PEAK_BYTES * 4**n
+        charge = grid_charge(n, [*gen.terms], PAULI_PEAK_BYTES)
         physical_memory(charge - 4096)
         for run in runs:
             with pytest.raises(ResourceLimitError):
                 run()
+        physical_memory(charge)
+        for run in runs:
+            run()
 
     def test_bad_inputs(self, circuits, h2, h4):
         _, ansatz, params = circuits["h2_qeb"]

@@ -36,7 +36,6 @@ from .exceptions import (
 from .operators import QubitOperator, apply_operator, expectation
 from .pauli_transfer import noisy_energy
 from .simulator import (
-    DENSITY_LIMIT_DEFAULT,
     NOISELESS,
     NoiseModel,
     QuantumState,
@@ -86,7 +85,7 @@ class AdaptConfig:
     ``eps_opt`` is the optimizer gradient-norm cutoff, ``eps_halt`` the
     minimal energy improvement per accepted element, and
     ``eps_truncation`` the accuracy at which noiseless growth stops.
-    ``dense_limit`` caps the register of noisy growth's density matrix.
+    Noisy growth's density matrix answers to its memory charge alone.
     """
 
     pool_kind: str = "fermionic"
@@ -98,7 +97,6 @@ class AdaptConfig:
     eps_truncation: float = TRUNCATION_TARGET
     max_iterations: int = 30
     noise: NoiseModel = NOISELESS
-    dense_limit: int = DENSITY_LIMIT_DEFAULT
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -616,10 +614,8 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
     params = np.zeros(0)
 
     def run(ansatz, params):
-        return run_circuit(
-            reference, ansatz, params, noise=config.noise,
-            n_qubits=problem.n_qubits, dense_limit=config.dense_limit,
-        )
+        return run_circuit(reference, ansatz, params, noise=config.noise,
+                           n_qubits=problem.n_qubits)
 
     # nothing below writes to a state, so the first iteration reuses it
     state = run(ansatz, params)

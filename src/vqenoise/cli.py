@@ -56,13 +56,7 @@ from .exceptions import (
     StalledError,
     VqeNoiseError,
 )
-from .simulator import (
-    DENSITY_LIMIT_DEFAULT,
-    DENSITY_LIMIT_HARD,
-    NoiseModel,
-    SCHEMES,
-    cnot_count,
-)
+from .simulator import NoiseModel, SCHEMES, cnot_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,6 +65,9 @@ EXIT_RESOURCE = 4
 EXIT_NUMERIC = 5
 
 ANSATZ_KINDS = ("adapt", "uccsd", "kupccgsd")
+# ``dense_limit``'s default and bound: noisy growth's largest register.
+DENSITY_LIMIT_DEFAULT = 12
+DENSITY_LIMIT_HARD = 14
 
 
 def _list_of(kind):
@@ -233,9 +230,13 @@ def load_problem(config):
     return Problem.from_integrals(*_load_integrals(config))
 
 
-def _adapt_config(config):
+def _adapt_config(config, n_qubits):
+    """Growth settings; noisy growth above ``dense_limit`` qubits is refused."""
     noise = NoiseModel(config["growth_p"] * config["noise_multiplier"],
                        config["noise_scheme"])
+    if noise.is_noisy and n_qubits > config["dense_limit"]:
+        raise ResourceLimitError(f"{n_qubits} qubits exceeds the density-"
+                                 f"matrix limit {config['dense_limit']}")
     return AdaptConfig(
         pool_kind=config["pool"],
         rule=config["rule"],
@@ -246,7 +247,6 @@ def _adapt_config(config):
         eps_truncation=config["eps_truncation"],
         max_iterations=config["max_iterations"],
         noise=noise,
-        dense_limit=config["dense_limit"],
     )
 
 
@@ -259,7 +259,7 @@ def grow_circuits(config, problem):
     warning on stderr says when one did not.
     """
     if config["ansatz"] == "adapt":
-        record = adapt_run(problem, _adapt_config(config))
+        record = adapt_run(problem, _adapt_config(config, problem.n_qubits))
         prefixes = truncation_prefixes(record)
         converged = all(it.converged for it in record.iterations)
     else:
@@ -344,7 +344,7 @@ def cmd_fci(config, out):
 def cmd_adapt(config, out):
     """Grow and persist an adaptive ansatz."""
     problem = load_problem(config)
-    record = adapt_run(problem, _adapt_config(config))
+    record = adapt_run(problem, _adapt_config(config, problem.n_qubits))
     digest = _emit_resolved(config, out)
     payload = {
         "config_hash": digest, "version": __version__,
@@ -554,8 +554,8 @@ def main(argv=None):
     except StalledError as err:
         print(f"stalled: {err}", file=sys.stderr)
         return EXIT_STALLED
-    except ResourceLimitError as err:
-        print(f"resource limit: {err}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as err:  # or an allocation failed
+        print(f"resource limit: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except NumericIntegrityError as err:
         print(f"numeric integrity: {err}", file=sys.stderr)

@@ -46,14 +46,8 @@ import numpy as np
 
 from .ansatz import Ansatz
 from .exceptions import ConfigError, DimensionError, NumericIntegrityError
-from .operators import IMAG_TOL, PauliString, QubitOperator
-from .simulator import (
-    DRIFT_TOL,
-    PAULI_PEAK_BYTES,
-    check_circuit,
-    check_memory,
-    compile_term,
-)
+from .operators import IMAG_TOL, PauliString, QubitOperator, check_memory
+from .simulator import DRIFT_TOL, check_circuit, compile_term
 
 
 def conjugate_masks(gates, x: int, z: int) -> tuple[int, int]:
@@ -333,13 +327,24 @@ def circuit_steps(ansatz: Ansatz, params: np.ndarray, scheme: str):
     raise ConfigError(f"unknown noise scheme {scheme!r}")
 
 
+# Peak bytes per entry of a Pauli-coefficient run's 2^n x 2^d grid and of
+# its heaviest term's 4^w support codes; the run's flat positions and what
+# it may add to the kept arrays are charged on top. Traced peaks per grid
+# entry on the frozen H4 qeb circuit (gate_by_gate, element_by_element):
+# 33.7 and 49.5 for noisy_energy, 64.7 and 59.4 when every cache starts
+# empty; 58.4 and 52.5 for chi's slot_shifts, 66.6 and 62.4 cold; every
+# run is charged 83.0. Per code: 18.0 to 28.4 (weights 11 to 6).
+PAULI_PEAK_BYTES = 64
+
+
 def _charged_grid(n_qubits: int, steps):
     """The span grid of the steps' terms, once memory holds PAULI_PEAK_BYTES
     per grid entry and per support code of the heaviest term, the run's
     flat positions (8 B per grid entry), 8 (2^n + 2^d) for the grid and
-    per support packed on it, and 2 * 4^w per string's codes: the run's
-    charge as if no cache held any of them, so it reads no cache. The grid
-    is built after the charge, its dimension d found on the masks alone."""
+    per support packed on it, and 2 * 4^w per string's codes up to what
+    ``_term_codes`` keeps (others live only inside the heaviest term's
+    charge): the run's charge as if no cache held any of them, so it reads
+    no cache. The grid is built after the charge, d found on the masks."""
     strings = [ps for terms, _, _ in steps for ps, _ in terms]
     basis = _span_basis(dict.fromkeys(ps.x_mask for ps in strings))
     masks = {(ps.x_mask, ps.z_mask) for ps in strings}
@@ -350,7 +355,8 @@ def _charged_grid(n_qubits: int, steps):
                  + 8 * entries
                  + 8 * ((1 << n_qubits) + (1 << len(basis)))
                  * (1 + len(supports))
-                 + sum(2 * 4 ** (x | z).bit_count() for x, z in masks))
+                 + min(sum(2 * 4 ** (x | z).bit_count() for x, z in masks),
+                       _term_codes.limit))
     return _grids(n_qubits, tuple(basis))
 
 

@@ -27,23 +27,14 @@ ADAPT's optimizer and energy-rule screening on Pauli coefficients.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ansatz import Ansatz, AnsatzElement
-from .exceptions import (
-    ConfigError,
-    DimensionError,
-    NumericIntegrityError,
-    ResourceLimitError,
-)
-from .operators import PauliString, pauli_action
+from .exceptions import ConfigError, DimensionError, NumericIntegrityError
+from .operators import PauliString, check_memory, pauli_action
 
-# Density-matrix register ceiling: default and the absolute cap.
-DENSITY_LIMIT_DEFAULT = 12
-DENSITY_LIMIT_HARD = 14
 # Norm/trace drift beyond this aborts instead of silently renormalizing.
 DRIFT_TOL = 1e-8
 # ``QuantumState.validate``: norm/trace and Hermiticity tolerance.
@@ -51,14 +42,6 @@ VALIDATE_TOL = 1e-10
 # Peak live 4^n complex arrays of a density-matrix run, rounded up from the
 # 6.1 traced (H4) beside a held state, each with its scratch: pool gradients.
 DENSITY_PEAK_COPIES = 8
-# Peak bytes per entry of a Pauli-coefficient run's 2^n x 2^d grid and of
-# its heaviest term's 4^w support codes; the run's flat positions and what
-# it may add to the kept arrays are charged on top. Traced peaks per grid
-# entry on the frozen H4 qeb circuit (gate_by_gate, element_by_element):
-# 33.7 and 49.5 for noisy_energy, 64.7 and 59.4 when every cache starts
-# empty; 58.4 and 52.5 for chi's slot_shifts, 66.6 and 62.4 cold; every
-# run is charged 83.0. Per code: 18.0 to 28.4 (weights 11 to 6).
-PAULI_PEAK_BYTES = 64
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -99,13 +82,15 @@ class QuantumState:
     def from_basis_index(
         cls, index: int, n_qubits: int, density: bool = False
     ) -> "QuantumState":
+        """Basis state ``index``; with ``density``, a density matrix once
+        ``check_memory`` admits DENSITY_PEAK_COPIES complex 4^n arrays."""
         dim = 1 << n_qubits
         if not 0 <= index < dim:
             raise DimensionError(
                 f"basis index {index} outside register of {n_qubits} qubits"
             )
         if density:
-            check_memory(n_qubits)
+            check_memory(n_qubits, DENSITY_PEAK_COPIES * 16 * 4 ** n_qubits)
             data = np.zeros((dim, dim), dtype=complex)
             data[index, index] = 1.0
         else:
@@ -488,30 +473,12 @@ def cnot_count(ansatz: Ansatz) -> int:
     return sum(e.cnot_count for e in ansatz.elements)
 
 
-def check_memory(n_qubits: int, need: int | None = None):
-    """Refuse, before allocating, an n-qubit run whose stated peak of
-    ``need`` bytes would outgrow physical memory; by default a density
-    matrix's, DENSITY_PEAK_COPIES complex arrays of 4^n entries."""
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf reading
-        return
-    if need is None:
-        need = DENSITY_PEAK_COPIES * 16 * 4 ** n_qubits
-    if need > have:
-        raise ResourceLimitError(
-            f"{n_qubits}-qubit run needs about {need / 2**30:.1f} GiB "
-            f"of {have / 2**30:.1f} GiB memory"
-        )
-
-
 def run_circuit(
     initial: int,
     ansatz: Ansatz,
     params,
     noise: NoiseModel = NOISELESS,
     n_qubits: int | None = None,
-    dense_limit: int = DENSITY_LIMIT_DEFAULT,
 ) -> QuantumState:
     """Evolve the reference determinant through the ansatz.
 
@@ -519,19 +486,10 @@ def run_circuit(
     evolution. With noise, gate_by_gate compiles to the staircase and
     depolarizes every CNOT target; element_by_element applies exact
     element unitaries and then the per-element CNOT-target schedule, on a
-    density matrix of at most ``dense_limit`` qubits.
+    density matrix that ``QuantumState.from_basis_index`` admits by its
+    memory charge alone.
     """
     params, n = check_circuit(ansatz, params, n_qubits)
-    if noise.is_noisy:
-        if dense_limit > DENSITY_LIMIT_HARD:
-            raise ConfigError(
-                f"density limit {dense_limit} exceeds the hard cap "
-                f"{DENSITY_LIMIT_HARD}"
-            )
-        if n > dense_limit:
-            raise ResourceLimitError(
-                f"{n} qubits exceeds the density-matrix limit {dense_limit}"
-            )
     state = QuantumState.from_basis_index(initial, n, density=noise.is_noisy)
     for element, theta in zip(ansatz.elements, params):
         if noise.is_noisy:

@@ -525,13 +525,14 @@ def _three_array_codes(x_mask, z_mask, n_qubits, staircase):
     ])
 
 
-def grid_charge(n_qubits, strings, peak_bytes):
+def grid_charge(n_qubits, strings, peak_bytes, code_limit):
     """The bytes that a Pauli-grid run over ``strings`` states to the
     memory guard, from its sizes alone, with d the dimension of the span
     of the x masks (found by enumerating the span): ``peak_bytes`` per
     entry of the 2^n x 2^d grid and per support code of the heaviest
     string, 8 B per grid entry for the flat positions, 8 (2^n + 2^d) for
-    the grid and per distinct support, and 2 * 4^w per distinct string."""
+    the grid and per distinct support, and 2 * 4^w per distinct string,
+    in all at most ``code_limit``, the bytes the code cache keeps."""
     span = {0}
     for ps in strings:
         if ps.x_mask not in span:
@@ -542,7 +543,8 @@ def grid_charge(n_qubits, strings, peak_bytes):
     weight = max(support.bit_count() for support in supports)
     return (peak_bytes * (entries + 4**weight) + 8 * entries
             + 8 * (2**n_qubits + len(span)) * (1 + len(supports))
-            + sum(2 * 4 ** (x | z).bit_count() for x, z in masks))
+            + min(sum(2 * 4 ** (x | z).bit_count() for x, z in masks),
+                  code_limit))
 
 
 def apply_term_oracle(r, grid, ps, phi, lam, staircase):

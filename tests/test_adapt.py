@@ -39,6 +39,7 @@ from vqenoise.exceptions import (
 )
 from vqenoise.operators import PauliString, QubitOperator, expectation
 from vqenoise.simulator import (
+    DENSITY_PEAK_COPIES,
     NOISELESS,
     NoiseModel,
     QuantumState,
@@ -582,11 +583,12 @@ class TestAdaptRun:
         with pytest.raises(NumericIntegrityError, match="iteration 1"):
             adapt_run(h2, AdaptConfig())
 
-    def test_register_too_large_for_noisy_growth(self, h2):
-        config = AdaptConfig(
-            noise=NoiseModel(1e-3, "gate_by_gate"), dense_limit=2,
-        )
-        with pytest.raises(ResourceLimitError, match="density-matrix limit"):
+    def test_register_too_large_for_noisy_growth(self, h2, physical_memory):
+        """Noisy growth's density matrix is refused where its charge
+        outgrows memory, before the first energy."""
+        physical_memory(DENSITY_PEAK_COPIES * 16 * 4**h2.n_qubits - 4096)
+        config = AdaptConfig(noise=NoiseModel(1e-3, "gate_by_gate"))
+        with pytest.raises(ResourceLimitError, match="4-qubit run needs"):
             adapt_run(h2, config)
 
     def test_invalid_status_rejected(self):

@@ -30,8 +30,8 @@ from vqenoise.exceptions import (
     ResourceLimitError,
 )
 from vqenoise.operators import PauliString, QubitOperator, expectation
+from vqenoise.pauli_transfer import CODE_CACHE_BYTES, PAULI_PEAK_BYTES
 from vqenoise.simulator import (
-    PAULI_PEAK_BYTES,
     NoiseModel,
     QuantumState,
     apply_depolarizing,
@@ -321,7 +321,8 @@ class TestNoiseSusceptibility:
         ansatz, params, hf, _ = qeb_h2
         strings = [ps for element in ansatz.elements
                    for ps, _ in element.terms]
-        estimate = grid_charge(h2.n_qubits, strings, PAULI_PEAK_BYTES)
+        estimate = grid_charge(h2.n_qubits, strings, PAULI_PEAK_BYTES,
+                               CODE_CACHE_BYTES)
         physical_memory(estimate - 4096)
         with pytest.raises(ResourceLimitError):
             noise_susceptibility(ansatz, params, h2.hamiltonian, hf)

@@ -224,6 +224,32 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert "4-qubit run needs" in capsys.readouterr().err
 
+    def test_exact_spectrum_charge_exits_resource(
+        self, tmp_path, capsys, physical_memory
+    ):
+        """The problem build's dense diagonalization is charged too."""
+        physical_memory(4096)
+        code = run_cli("fci", "--out", str(tmp_path))
+        assert code == EXIT_RESOURCE
+        assert "4-qubit run needs" in capsys.readouterr().err
+        assert not (tmp_path / "fci.json").exists()
+
+    def test_out_of_memory_exits_resource(self, tmp_path, capsys,
+                                          monkeypatch):
+        """An allocation that fails within an admitted charge is a
+        resource limit too, not a traceback."""
+        import vqenoise.cli as cli_module
+
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setattr(cli_module, "load_problem", exhausted)
+        code = run_cli("adapt", "--out", str(tmp_path))
+        assert code == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ")
+        assert "Unable to allocate 2.00 GiB" in err
+
 
 class TestFciCommand:
     def test_matches_bundled_reference(self, tmp_path, capsys, h2):

@@ -1,6 +1,7 @@
 """Pauli algebra, Jordan-Wigner transform, diagonalization, expectations."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     product_by_strings,
     qubit_operator_matrix,
 )
+import vqenoise.operators as operators
 from vqenoise import ansatz
 from vqenoise.chem import BUNDLED_MOLECULES, load_bundled
 from vqenoise.exceptions import (
@@ -22,6 +24,8 @@ from vqenoise.exceptions import (
 )
 from vqenoise.operators import (
     COEFF_TOL,
+    SPECTRUM_COMPLEX_BYTES,
+    SPECTRUM_REAL_BYTES,
     FermionOperator,
     PauliString,
     QubitOperator,
@@ -510,12 +514,63 @@ class TestExactSpectrum:
         with pytest.raises(NumericIntegrityError):
             exact_spectrum(op)
 
-    def test_dense_limit_enforced(self):
+    def test_dense_limit_enforced(self, physical_memory):
+        """The dense image is admitted by its charge alone: 16 qubits are
+        refused on 64 GiB, and one qubit runs on its 4 * 56 B."""
         op = QubitOperator.from_term(ps({0: "Z"}, 1))
         big = QubitOperator.from_term(ps({15: "Z"}, 16))
-        with pytest.raises(ResourceLimitError):
+        physical_memory(64 * 2**30)
+        with pytest.raises(ResourceLimitError, match="16-qubit run needs"):
             exact_spectrum(big)
-        assert exact_spectrum(op, dense_limit=1).ground_energy == pytest.approx(-1.0)
+        physical_memory(SPECTRUM_REAL_BYTES * 4)
+        assert exact_spectrum(op).ground_energy == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("branch", ["real", "complex"])
+    def test_refused_below_its_charge(self, physical_memory, branch):
+        """Refused 4096 B below the charge of the branch the matrix takes,
+        and run at it: real weights and even Y counts take the real one."""
+        n = 6
+        terms = {ps({0: "Z", 1: "Z"}, n): 0.8, ps({2: "X", 5: "X"}, n): -0.4,
+                 ps({3: "Y", 4: "Y"}, n): 0.3}
+        if branch == "complex":
+            terms[ps({1: "Y"}, n)] = 0.5
+        op = QubitOperator(n, terms)
+        per_entry = {"real": SPECTRUM_REAL_BYTES,
+                     "complex": SPECTRUM_COMPLEX_BYTES}[branch]
+        physical_memory(per_entry * 4**n - 4096)
+        with pytest.raises(ResourceLimitError):
+            exact_spectrum(op)
+        physical_memory(per_entry * 4**n)
+        evals = np.linalg.eigvalsh(qubit_operator_matrix(op))
+        assert exact_spectrum(op).ground_energy == pytest.approx(evals[0],
+                                                                 abs=1e-12)
+
+    def test_fourteen_qubits_refused_on_eight_gigabytes(self, physical_memory,
+                                                        monkeypatch):
+        """A 14-qubit molecular-like operator (real weights, even Y counts)
+        is refused on 8 GB before anything dense is allocated, and its
+        charge stays below 16 GiB, where it would run."""
+        n = 14
+        op = QubitOperator(n, {ps({0: "Z", 13: "Z"}, n): 0.5,
+                               ps({0: "Y", 1: "Y"}, n): 0.25,
+                               ps({12: "X", 13: "X"}, n): -0.1})
+        check_memory, calls = operators.check_memory, []
+
+        def recorded(n_qubits, need):
+            calls.append((tracemalloc.get_traced_memory()[0], need))
+            return check_memory(n_qubits, need)
+
+        monkeypatch.setattr(operators, "check_memory", recorded)
+        physical_memory(8 * 10**9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="14-qubit run needs"):
+                exact_spectrum(op)
+        finally:
+            tracemalloc.stop()
+        [(current, need)] = calls
+        assert current < 2**20
+        assert need == SPECTRUM_REAL_BYTES * 4**n < 16 * 2**30
 
     def test_rayleigh_ritz_floor(self):
         rng = np.random.default_rng(13)

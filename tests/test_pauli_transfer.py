@@ -26,6 +26,8 @@ from vqenoise.exceptions import (
 )
 from vqenoise.operators import PauliString, QubitOperator, expectation
 from vqenoise.pauli_transfer import (
+    CODE_CACHE_BYTES,
+    PAULI_PEAK_BYTES,
     _apply_channels,
     _apply_term,
     _check_coefficients,
@@ -37,9 +39,7 @@ from vqenoise.pauli_transfer import (
     slot_shifts,
     span_table,
 )
-from vqenoise.simulator import (
-    PAULI_PEAK_BYTES, NoiseModel, compile_term, run_circuit,
-)
+from vqenoise.simulator import NoiseModel, compile_term, run_circuit
 
 from oracles import (
     apply_term_oracle,
@@ -481,6 +481,43 @@ def test_cold_run_peaks_within_its_charge(circuits, entry, scheme,
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
+def test_codes_are_charged_at_most_the_cache_limit(circuits, scheme,
+                                                   monkeypatch):
+    """A cold run whose code cache keeps less than its strings' codes
+    (2 * 4^w each) is charged only the cache's limit for them, and still
+    peaks within that charge: codes the cache cannot keep live only while
+    their term's factors are built."""
+    problem, ansatz, params = circuits["h4_fermionic"]
+    reference = hartree_fock_index(problem.n_electrons)
+    h, n = problem.hamiltonian, problem.n_qubits
+    strings = [ps for terms, _, _ in circuit_steps(ansatz, params, scheme)
+               for ps, _ in terms]
+    codes = sum(2 * 4**ps.weight for ps in set(strings))
+    check_memory, needs = pauli_transfer.check_memory, []
+
+    def recorded(n_qubits, need):
+        needs.append(need)
+        return check_memory(n_qubits, need)
+
+    monkeypatch.setattr(pauli_transfer, "check_memory", recorded)
+    empty_caches(monkeypatch)
+    limit = codes // 4
+    kept = pauli_transfer._CappedCache(pauli_transfer._build_codes, limit)
+    monkeypatch.setattr(pauli_transfer, "_term_codes", kept)
+    tracemalloc.start()
+    try:
+        noisy_energy(reference, ansatz, params, h, 1e-3, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(value.nbytes for value in kept.held.values()) <= limit
+    assert needs == [grid_charge(n, strings, PAULI_PEAK_BYTES, limit)]
+    assert needs[0] == (grid_charge(n, strings, PAULI_PEAK_BYTES, codes)
+                        - (codes - limit))
+    assert peak <= needs[0]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("entry", ["noisy_energy", "slot_shifts"])
 def test_unkept_flat_positions_built_once_per_run(circuits, entry, scheme,
                                                  monkeypatch):
@@ -634,7 +671,8 @@ class TestInputs:
         _, ansatz, params = circuits["h2_qeb"]
         strings = [ps for element in ansatz.elements
                    for ps, _ in element.terms]
-        estimate = grid_charge(h2.n_qubits, strings, PAULI_PEAK_BYTES)
+        estimate = grid_charge(h2.n_qubits, strings, PAULI_PEAK_BYTES,
+                               CODE_CACHE_BYTES)
         physical_memory(estimate - 4096)
         with pytest.raises(ResourceLimitError):
             noisy_energy(3, ansatz, params, h2.hamiltonian, 1e-3)
@@ -659,7 +697,8 @@ class TestInputs:
         for run in runs:
             run()
         assert 8 * 10**9 < PAULI_PEAK_BYTES * 4**n
-        charge = grid_charge(n, [*gen.terms], PAULI_PEAK_BYTES)
+        charge = grid_charge(n, [*gen.terms], PAULI_PEAK_BYTES,
+                             CODE_CACHE_BYTES)
         physical_memory(charge - 4096)
         for run in runs:
             with pytest.raises(ResourceLimitError):

@@ -27,6 +27,7 @@ from vqenoise.operators import (
     MATRIX_CACHE_QUBITS,
     PauliString,
     QubitOperator,
+    check_memory,
     expectation,
 )
 from vqenoise.simulator import (
@@ -41,7 +42,6 @@ from vqenoise.simulator import (
     apply_element,
     apply_gate,
     apply_rotations_to_rows,
-    check_memory,
     cnot_count,
     compile_circuit,
     compile_element,
@@ -655,17 +655,19 @@ class TestRunCircuit:
             apply_depolarizing(s, 1, p)
             assert expectation(z1, s) == pytest.approx(1 - 4 * p / 3)
 
-    def test_density_limit_enforced(self):
+    def test_density_limit_enforced(self, physical_memory):
+        """A noisy run's density matrix is admitted by its charge alone,
+        under either scheme: refused 4096 B below it, run at it."""
         ansatz = build_uccsd(4, 2)
-        with pytest.raises(ResourceLimitError):
-            run_circuit(3, ansatz, [0.1, 0.2, 0.3],
-                        noise=NoiseModel(1e-3), dense_limit=2)
-
-    def test_hard_cap_on_dense_limit(self):
-        ansatz = build_uccsd(4, 2)
-        with pytest.raises(ConfigError):
-            run_circuit(3, ansatz, [0.1, 0.2, 0.3],
-                        noise=NoiseModel(1e-3), dense_limit=20)
+        charge = DENSITY_PEAK_COPIES * 16 * 4**4
+        for scheme in ("gate_by_gate", "element_by_element"):
+            noise = NoiseModel(1e-3, scheme)
+            physical_memory(charge - 4096)
+            with pytest.raises(ResourceLimitError, match="4-qubit run needs"):
+                run_circuit(3, ansatz, [0.1, 0.2, 0.3], noise=noise)
+            physical_memory(charge)
+            state = run_circuit(3, ansatz, [0.1, 0.2, 0.3], noise=noise)
+            assert state.data.shape == (16, 16)
 
 
 def one_qubit_gates(qubit):
@@ -801,9 +803,9 @@ class TestDensityMemoryGuard:
 
     def test_fourteen_qubits_refused_on_eight_gigabytes(self, physical_memory):
         physical_memory(8 * 10**9)
-        check_memory(12)  # 8 copies of 256 MiB
+        check_memory(12, DENSITY_PEAK_COPIES * 16 * 4**12)  # 8 of 256 MiB
         with pytest.raises(ResourceLimitError):
-            check_memory(14)  # 8 copies of 4 GiB
+            check_memory(14, DENSITY_PEAK_COPIES * 16 * 4**14)  # 8 of 4 GiB
 
     def test_noisy_run_refused_before_allocating(self, physical_memory):
         ansatz = build_uccsd(4, 2)

@@ -14,13 +14,14 @@ A noiseless objective hands them its exact adjoint gradient: one forward
 pass, then one backward sweep that un-applies each element from the
 state and from H|psi> (Jones and Gacon, arXiv:2009.02823). Noisy
 objectives and energy-rule screening use central finite differences of
-``pauli_transfer.noisy_energy``, each energy one walk over the circuit's
-Pauli-transfer grid. The dense density matrix of ``run_circuit`` serves
+one compiled ``pauli_transfer.NoisyCircuit`` per circuit, each energy a
+walk over its grid. The dense density matrix of ``run_circuit`` serves
 only the noisy pool gradients (``finite_difference_pool_gradients``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ from .exceptions import (
     VqeNoiseError,
 )
 from .operators import QubitOperator, apply_operator, expectation
-from .pauli_transfer import noisy_energy
+from .pauli_transfer import NoisyCircuit
 from .simulator import (
     NOISELESS,
     NoiseModel,
@@ -202,7 +203,8 @@ class _Counted:
     def __call__(self, point):
         self.evaluations += 1
         value = self.fun(point)
-        if not np.all(np.isfinite(value)):
+        if not (math.isfinite(value) if isinstance(value, float)
+                else np.all(np.isfinite(value))):
             raise NumericIntegrityError(
                 f"{self.what} returned non-finite value {value}"
             )
@@ -379,8 +381,8 @@ def optimize_parameters(
     Deterministic given identical inputs; ``converged`` reports whether
     the gradient norm reached ``eps_opt``. Without noise the energy is
     read from the state vector and the gradient is the exact adjoint one;
-    with noise the energy is ``noisy_energy`` on the Pauli-transfer grid
-    and the gradient central differences of it. Neither path builds a
+    with noise the energy is one compiled ``NoisyCircuit`` on the Pauli
+    grid and the gradient central differences of it. Neither path builds a
     density matrix, so only the grid's memory charge limits the register.
     """
     params0 = np.asarray(params0, dtype=float)
@@ -391,10 +393,8 @@ def optimize_parameters(
 
     if noise.is_noisy:
         gradient = None
-
-        def fun(params):
-            return noisy_energy(reference, ansatz, params, h, noise.p,
-                                noise.scheme, n_qubits)
+        fun = NoisyCircuit(reference, ansatz, h, noise.p, noise.scheme,
+                           n_qubits)
     else:
         def run(params):
             return run_circuit(reference, ansatz, params, n_qubits=n_qubits)
@@ -701,14 +701,18 @@ def adapt_run(problem, config: AdaptConfig) -> AdaptRecord:
 
 def _grown_energy(problem, reference: int, ansatz: Ansatz, params,
                   config: AdaptConfig):
-    """energy(element, theta): ``noisy_energy`` of the whole circuit with
-    ``element`` at ``theta`` appended."""
+    """energy(element, theta): the circuit's noisy energy with ``element``
+    at ``theta`` appended, on one kept ``NoisyCircuit`` per element."""
+    last = [None, None, np.append(params, 0.0)]  # element, circuit, params
+
     def energy(element, theta):
-        return noisy_energy(
-            reference, ansatz.append(element), np.append(params, theta),
-            problem.hamiltonian, config.noise.p, config.noise.scheme,
-            problem.n_qubits,
-        )
+        if element is not last[0]:
+            last[:2] = element, None  # one circuit's grid at a time
+            last[1] = NoisyCircuit(
+                reference, ansatz.append(element), problem.hamiltonian,
+                config.noise.p, config.noise.scheme, problem.n_qubits)
+        last[2][-1] = theta
+        return last[1](last[2])
 
     return energy
 

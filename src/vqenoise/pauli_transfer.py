@@ -28,13 +28,14 @@ grid with its packed support codes, up to ``GRID_CACHE_BYTES``.
 
 Only ``circuit_steps`` lays a noise scheme's channels on a circuit, and
 both entry points walk its steps forward on one grid charged to
-``check_memory``. ``noisy_energy`` runs noisy Delta E grids and noisy
-ADAPT's optimizer and energy-rule screening; it is tested against
-``simulator``'s dense kernels, which still serve noisy pool gradients and
-direct ``run_circuit`` calls. ``slot_shifts`` scores chi's slots on one
-backward pass after the walk, which maps r and the Heisenberg-evolved H
-as one stacked array, one term map per term: O(terms x 2^(n+d)), plus
-one matrix product per slot boundary.
+``check_memory``, the walk compiled once (``_Walk``). ``NoisyCircuit``
+runs noisy ADAPT's optimizer and energy-rule screening, one per circuit,
+and noisy Delta E grids, one per energy (``noisy_energy``); it is tested
+against ``simulator``'s dense kernels, which still serve noisy pool
+gradients and direct ``run_circuit`` calls. ``slot_shifts`` scores chi's
+slots on one backward pass after the walk, which maps r and the
+Heisenberg-evolved H as one stacked array, one term map per term:
+O(terms x 2^(n+d)), plus one matrix product per slot boundary.
 """
 
 from __future__ import annotations
@@ -265,33 +266,41 @@ CODE_CACHE_BYTES = 8 << 20
 _term_codes = _CappedCache(_build_codes, CODE_CACHE_BYTES)
 
 
-def _term_factors(ps, phi, lam, staircase):
+def _compile_term(grid, ps, staircase, powers):
+    """``ps``'s term on ``grid`` for ``_apply_term``: its gather offset
+    z_P 2^d | c_P, its support codes (rows, columns), its kept codes' key
+    and, for a staircase, ``powers[w]``: lam^s for its 2w - 1 slot counts."""
+    return (ps.z_mask * len(grid.table) | grid.coordinate[ps.x_mask],
+            *grid.codes(ps.x_mask | ps.z_mask),
+            (ps.x_mask, ps.z_mask, ps.n_qubits, staircase),
+            powers[ps.weight] if staircase else None)
+
+
+def _term_factors(key, phi, powers):
     """The term diag(f_post) R_P(phi) diag(f_pre) on Pauli coefficients:
     r_R <- a_R r_R + b_R r_{R xor P}. a and b depend only on R's masks on
     P's support, so they are built over those codes (rows z, columns x)
     from the string's kept codes. For a staircase, each channel slot of
     ``term_slots`` scales by lam: f = lam^(slots s that scale R), read
     with the rotation's factor at code e + 4 s of one product table."""
-    codes = _term_codes(ps.x_mask, ps.z_mask, ps.n_qubits, staircase)
+    codes = _term_codes(*key)
     cos, sin = math.cos(2.0 * phi), math.sin(2.0 * phi)
     table = np.array([[cos, 1.0, cos, 1.0], [sin, 0.0, -sin, 0.0]])
     if len(codes) > 1:  # 2(w - 1) slots
-        table = table[:, None] * (lam ** np.arange(2 * ps.weight - 1))[:, None]
+        table = table[:, None] * powers
     return table[0].take(codes[0]), table[1].take(codes[-1])
 
 
-def _apply_term(r, partner, index, positions, grid, ps, phi, lam,
-                staircase):
+def _apply_term(r, partner, index, positions, term, phi):
     """r <- diag(f_post) R_P(phi) diag(f_pre) r in place on the grid, or on
-    each grid of a stack r[..., z, c]: R xor P sits at (z ^ z_P, c ^ c_P),
-    flat position (z 2^d + c) xor (z_P 2^d + c_P), with ``positions`` the
-    run's flat positions of one grid (``_evolve``). ``partner`` (r's shape)
-    and ``index`` (one grid's) are scratch: index holds the gather's keys,
-    then its bytes hold the factors spread over the grid."""
-    a, b = _term_factors(ps, phi, lam, staircase)
-    rows, cols = grid.codes(ps.x_mask | ps.z_mask)
-    np.bitwise_xor(positions, ps.z_mask * len(grid.table)
-                   | grid.coordinate[ps.x_mask], out=index)
+    each grid of a stack r[..., z, c], for ``_compile_term``'s ``term``:
+    R xor P sits at flat position (z 2^d + c) xor (z_P 2^d + c_P), with
+    ``positions`` the run's flat positions of one grid. ``partner`` (r's
+    shape) and ``index`` (one grid's) are scratch: index holds the gather's
+    keys, then its bytes hold the factors spread over the grid."""
+    offset, rows, cols, key, powers = term
+    a, b = _term_factors(key, phi, powers)
+    np.bitwise_xor(positions, offset, out=index)
     # method calls and "clip" (the indices are in range) keep calls short
     r.reshape(*r.shape[:-2], -1).take(index, -1, partner, "clip")
     for factors, target in ((b, partner), (a, r)):
@@ -300,15 +309,13 @@ def _apply_term(r, partner, index, positions, grid, ps, phi, lam,
     r += partner
 
 
-def _apply_channels(r, partner, index, grid, schedule, lam):
-    """``count`` channels on each scheduled (qubit, count), in place on the
-    grid: r_R scales by lam to the channels on R's support x | z.
-    ``partner`` and ``index`` are scratch."""
+def _channel_factors(grid, slots, lam):
+    """lam^e over supports x | z, with e the channels of ``slots`` on the
+    support: gathered at R's support, what r_R scales by."""
     e = np.zeros(len(grid.register), dtype=np.intp)
-    for qubit, count in schedule:
+    for qubit, count, _ in slots:
         e += count * (grid.register >> qubit & 1)
-    np.bitwise_or(grid.register[:, None], grid.table, out=index)
-    r *= np.take(lam ** e, index, out=partner, mode="clip")
+    return lam ** e
 
 
 def circuit_steps(ansatz: Ansatz, params: np.ndarray, scheme: str):
@@ -331,8 +338,8 @@ def circuit_steps(ansatz: Ansatz, params: np.ndarray, scheme: str):
 # its heaviest term's 4^w support codes; the run's flat positions and what
 # it may add to the kept arrays are charged on top. Traced peaks per grid
 # entry on the frozen H4 qeb circuit (gate_by_gate, element_by_element):
-# 33.7 and 49.5 for noisy_energy, 64.7 and 59.4 when every cache starts
-# empty; 58.4 and 52.5 for chi's slot_shifts, 66.6 and 62.4 cold; every
+# 36.0 and 57.1 for noisy_energy, 68.0 and 57.6 when every cache starts
+# empty; 59.5 and 53.2 for chi's slot_shifts, 67.9 and 63.3 cold; every
 # run is charged 83.0. Per code: 18.0 to 28.4 (weights 11 to 6).
 PAULI_PEAK_BYTES = 64
 
@@ -360,44 +367,45 @@ def _charged_grid(n_qubits: int, steps):
     return _grids(n_qubits, tuple(basis))
 
 
-def _evolve(grid, initial, steps, lam, staircase, stack=()):
-    """r on ``grid`` after the determinant ``initial`` walks ``steps`` with
-    channels of lam = 1 - 4p/3, and the scratch with the grid's flat
-    positions, arange(2^(n+d)) as (2^n, 2^d), built once per run: a
-    staircase's channels sit in its term factors, otherwise each step's
-    after-slots scale r. With ``stack`` leading axes, r is the first grid
-    of a zeroed stack of that shape, which is returned with its scratch in
-    place of r's."""
-    shape = (*stack, len(grid.register), len(grid.table))
-    r_stack, partner_stack = np.zeros(shape), np.empty(shape)
-    index = np.empty(shape[-2:], dtype=np.intp)
-    positions = np.arange(index.size).reshape(index.shape)
-    first = (0,) * len(stack)
-    r, partner = r_stack[first], partner_stack[first]
-    r[:, 0] = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
-    for terms, _, after in steps:
-        for ps, phi in terms:
-            _apply_term(r, partner, index, positions, grid, ps, phi, lam,
-                        staircase)
-        if not staircase and lam != 1.0:
-            _apply_channels(r, partner, index, grid,
-                            [(qubit, count) for qubit, count, _ in after], lam)
-    return r_stack, partner_stack, index, positions
+class _Walk:
+    """The forward walk of ``steps``' strings and slots on ``grid`` with
+    channels of lam = 1 - 4p/3, compiled once with its scratch: the term
+    maps, a zeroed stack of leading shape ``stack`` (r its first grid),
+    its partner, the index scratch and the flat positions arange(2^(n+d))
+    as (2^n, 2^d). A staircase's channels sit in its term factors; else
+    each step's after-slots scale r, gathered at the keys register | table."""
 
+    def __init__(self, grid, initial, steps, lam, staircase, stack=()):
+        shape = (*stack, len(grid.register), len(grid.table))
+        self.stack, self.partner = np.zeros(shape), np.empty(shape)
+        self.r, self.scratch = (a[(0,) * len(stack)]
+                                for a in (self.stack, self.partner))
+        self.index = np.empty(shape[-2:], dtype=np.intp)
+        self.positions = np.arange(self.index.size).reshape(self.index.shape)
+        self.start = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
+        channels = not staircase and lam != 1.0
+        self.keys = grid.register[:, None] | grid.table if channels else None
+        weights = {ps.weight for terms, _, _ in steps for ps, _ in terms
+                   if staircase}
+        powers = {w: (lam ** np.arange(2 * w - 1))[:, None] for w in weights}
+        self.program = [
+            ([_compile_term(grid, ps, staircase, powers) for ps, _ in terms],
+             _channel_factors(grid, after, lam) if channels else None)
+            for terms, _, after in steps]
 
-def _energy(r, grid, h: QubitOperator) -> float:
-    """sum_P h_P r_P, with r_P = 0 for each P whose x mask lies outside
-    the span."""
-    coordinate = grid.coordinate
-    seen = np.fromiter(
-        (r[ps.z_mask, coordinate[ps.x_mask]] if ps.x_mask in coordinate
-         else 0.0 for ps in h.terms), float, len(h.terms))
-    value = complex(np.fromiter(h.terms.values(), complex) @ seen)
-    if not abs(value.imag) <= IMAG_TOL:
-        raise NumericIntegrityError(
-            f"energy {value:.3e} has an imaginary residue"
-        )
-    return value.real
+    def __call__(self, phis):
+        """(stack, partner), r walked from the determinant at ``phis``."""
+        r, partner = self.r, self.scratch
+        r.fill(0.0)
+        r[:, 0] = self.start
+        phis = iter(phis)
+        for terms, factors in self.program:
+            for term in terms:
+                _apply_term(r, partner, self.index, self.positions, term,
+                            next(phis))
+            if factors is not None:
+                r *= np.take(factors, self.keys, out=partner, mode="clip")
+        return self.stack, self.partner
 
 
 def _check_coefficients(r: np.ndarray, n_qubits: int, physical: bool):
@@ -430,17 +438,10 @@ def _check_register(initial: int, h: QubitOperator, n_qubits: int):
         )
 
 
-def noisy_energy(
-    initial: int,
-    ansatz: Ansatz,
-    params,
-    h: QubitOperator,
-    p: float,
-    scheme: str = "gate_by_gate",
-    n_qubits: int | None = None,
-) -> float:
+class NoisyCircuit:
     """Tr(H rho) after the reference determinant runs through the ansatz
-    under per-CNOT depolarizing probability ``p``, on Pauli coefficients.
+    under per-CNOT depolarizing probability ``p``, on Pauli coefficients,
+    as a function of the parameters: ``NoisyCircuit(...)(params)``.
 
     The determinant sets r = +-1 on the Z strings and the energy is
     sum_P h_P r_P, read after a forward walk of ``circuit_steps``: a
@@ -450,20 +451,54 @@ def noisy_energy(
     ``run_circuit`` density matrix up to rounding, but builds none: only
     ``check_memory``, on the grid's charge, limits the register.
 
-    Any finite p runs: outside [0, 1] (the derivative probes of
+    What no parameter changes is built once: the checks of p, register and
+    scheme, the charged grid, the walk (``_Walk``) and H's read-out; a
+    call checks the parameters, walks and checks r. Any finite p runs:
+    outside [0, 1] (the derivative probes of
     ``analysis.chi_from_density_derivative``) the map is not physical and
     only finiteness is checked.
     """
-    if not math.isfinite(p):
-        raise ConfigError(f"gate-error probability {p} is not finite")
-    params, n = check_circuit(ansatz, params, n_qubits)
-    _check_register(initial, h, n)
-    steps = circuit_steps(ansatz, params, scheme)
-    staircase = scheme == "gate_by_gate"
-    grid = _charged_grid(n, steps)
-    r = _evolve(grid, initial, steps, 1.0 - 4.0 * p / 3.0, staircase)[0]
-    _check_coefficients(r.reshape(-1), n, 0.0 <= p <= 1.0)
-    return _energy(r, grid, h)
+
+    def __init__(self, initial: int, ansatz: Ansatz, h: QubitOperator,
+                 p: float, scheme: str = "gate_by_gate",
+                 n_qubits: int | None = None):
+        if not math.isfinite(p):
+            raise ConfigError(f"gate-error probability {p} is not finite")
+        self.ansatz, self.physical = ansatz, 0.0 <= p <= 1.0
+        self.n = check_circuit(ansatz, np.zeros(ansatz.n_params), n_qubits)[1]
+        _check_register(initial, h, self.n)
+        steps = circuit_steps(ansatz, np.zeros(ansatz.n_params), scheme)
+        # phi = coeff * theta_j, term by term in both schemes' step order
+        self.angles = [(j, coeff) for j, element in enumerate(ansatz.elements)
+                       for _, coeff in element.terms]
+        grid = _charged_grid(self.n, steps)
+        self.walk = _Walk(grid, initial, steps, 1.0 - 4.0 * p / 3.0,
+                          scheme == "gate_by_gate")
+        # r_P = 0 for each P whose x mask lies outside the span
+        coordinate, d = grid.coordinate, len(grid.table)
+        self.flat = np.array([ps.z_mask * d + coordinate[ps.x_mask] if ps.x_mask
+                              in coordinate else -1 for ps in h.terms], np.intp)
+        self.inside = self.flat >= 0
+        self.coeffs = np.fromiter(h.terms.values(), complex, len(h.terms))
+
+    def __call__(self, params) -> float:
+        thetas = check_circuit(self.ansatz, params, self.n)[0].tolist()
+        r = self.walk([coeff * thetas[j] for j, coeff in self.angles])[0]
+        _check_coefficients(r.reshape(-1), self.n, self.physical)
+        seen = np.where(self.inside, r.take(self.flat, mode="clip"), 0.0)
+        value = complex(self.coeffs @ seen)
+        if not abs(value.imag) <= IMAG_TOL:
+            raise NumericIntegrityError(
+                f"energy {value:.3e} has an imaginary residue"
+            )
+        return value.real
+
+
+def noisy_energy(initial: int, ansatz: Ansatz, params, h: QubitOperator,
+                 p: float, scheme: str = "gate_by_gate",
+                 n_qubits: int | None = None) -> float:
+    """``NoisyCircuit(initial, ansatz, h, p, scheme, n_qubits)(params)``."""
+    return NoisyCircuit(initial, ansatz, h, p, scheme, n_qubits)(params)
 
 
 def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
@@ -484,8 +519,8 @@ def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
     if np.abs(coeffs.imag).max(initial=0.0) > IMAG_TOL:
         raise NumericIntegrityError("hamiltonian has a complex coefficient")
     grid = _charged_grid(n_qubits, steps)
-    stack, partner, index, positions = _evolve(grid, initial, steps, 1.0,
-                                               False, (2,))
+    walk = _Walk(grid, initial, steps, 1.0, False, (2,))
+    stack, partner = walk([phi for terms, _, _ in steps for _, phi in terms])
     r, hw = stack  # strings outside the span meet r = 0
     _check_coefficients(r.reshape(-1), n_qubits, physical=True)
     for ps, coeff in zip(h.terms, coeffs.real.tolist()):
@@ -495,13 +530,14 @@ def slot_shifts(initial: int, steps, h: QubitOperator, n_qubits: int):
     shifts = np.empty((sum(len(before) + len(after)
                            for _, before, after in steps), 3))
     stop, following = len(shifts), []  # last boundary first
-    for terms, before, after in reversed(steps):
+    for (terms, before, after), (maps, _) in zip(reversed(steps),
+                                                reversed(walk.program)):
         slots = [*after, *following]
         shifts[stop - len(slots):stop] = _score(grid, stack, partner, slots)
         stop -= len(slots)
-        for ps, phi in reversed(terms):
-            _apply_term(stack, partner, index, positions, grid, ps, -phi,
-                        1.0, False)
+        for (_, phi), term in zip(reversed(terms), reversed(maps)):
+            _apply_term(stack, partner, walk.index, walk.positions, term,
+                        -phi)
         following = before
     shifts[:stop] = _score(grid, stack, partner, following)
     return e_unperturbed, shifts

@@ -19,9 +19,9 @@ scheme applies the channel after every CNOT of the compiled circuit; the
 element-by-element scheme applies the exact element unitary first and
 then one channel per scheduled CNOT target. The dense density matrix
 serves noisy ADAPT's finite-difference pool gradients and direct
-``run_circuit`` calls, and is the oracle of
-``pauli_transfer.noisy_energy``, which runs noisy Delta E grids and noisy
-ADAPT's optimizer and energy-rule screening on Pauli coefficients.
+``run_circuit`` calls, and is the oracle of ``pauli_transfer``'s
+``NoisyCircuit``, which runs noisy Delta E grids and noisy ADAPT's
+optimizer and energy-rule screening on Pauli coefficients.
 """
 
 from __future__ import annotations
@@ -453,7 +453,7 @@ def check_circuit(ansatz: Ansatz, params, n_qubits: int | None = None):
         raise DimensionError(
             f"{params.shape} parameters for {ansatz.n_params} elements"
         )
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise ConfigError("circuit parameters must be finite")
     n = ansatz.n_qubits if ansatz.elements else n_qubits
     if n is None:

@@ -2,27 +2,35 @@
 matrix: the optimizer's objective and optimum, energy-rule screening,
 and whole growth runs."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vqenoise.adapt as adapt_module
+import vqenoise.pauli_transfer as pauli_transfer
 from vqenoise.adapt import (
     _appended_energy,
     _grown_energy,
     _screen,
+    GRAD_NORM_CUTOFF,
     AdaptConfig,
     adapt_run,
     bfgs_minimize,
+    nelder_mead,
     optimize_parameters,
     pool_gradients,
 )
 from vqenoise.ansatz import Ansatz, build_pool, build_uccsd, hartree_fock_index
+from vqenoise.pauli_transfer import (
+    CODE_CACHE_BYTES, PAULI_PEAK_BYTES, NoisyCircuit, noisy_energy,
+)
 from vqenoise.simulator import NoiseModel, run_circuit
 
-from oracles import dense_noisy_adapt_oracle, dense_noisy_energy
+from oracles import dense_noisy_adapt_oracle, dense_noisy_energy, grid_charge
 
 SCHEMES = ("gate_by_gate", "element_by_element")
 POOLS = ("fermionic", "qeb", "qubit_pauli")
@@ -84,6 +92,66 @@ def test_noisy_optimization_matches_dense(circuits, name, scheme,
     assert abs(got.energy - want.energy) <= 1e-8
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("optimizer", ["bfgs", "nelder_mead"])
+def test_noisy_optimizer_bit_identical_to_energy_closure(circuits, optimizer,
+                                                         scheme):
+    """Optimizing on one compiled circuit takes the steps, and returns the
+    bits and counts, of the optimizer run on ``noisy_energy`` per point."""
+    problem, ansatz, x0 = circuits["h2_uccsd"]
+    h = problem.hamiltonian
+    reference = hartree_fock_index(problem.n_electrons)
+    minimize = {"bfgs": bfgs_minimize, "nelder_mead": nelder_mead}[optimizer]
+    want = minimize(
+        lambda x: noisy_energy(reference, ansatz, x, h, P, scheme), x0,
+        grad_tol=GRAD_NORM_CUTOFF)
+    got = optimize_parameters(ansatz, x0, h, reference,
+                              noise=NoiseModel(P, scheme), optimizer=optimizer)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.energy == want.energy
+    assert (got.n_evaluations, got.n_gradients) == (
+        want.n_evaluations, want.n_gradients)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_noisy_optimizer_charges_its_grid_once(circuits, scheme,
+                                               monkeypatch):
+    """A whole noisy optimization asks ``check_memory`` once, for the
+    charge of its grid as if every cache were empty."""
+    problem, ansatz, x0 = circuits["h4_qeb_prefix"]
+    check_memory, needs = pauli_transfer.check_memory, []
+
+    def recorded(n_qubits, need):
+        needs.append(need)
+        return check_memory(n_qubits, need)
+
+    monkeypatch.setattr(pauli_transfer, "check_memory", recorded)
+    result = optimize_parameters(ansatz, x0, problem.hamiltonian,
+                                 hartree_fock_index(problem.n_electrons),
+                                 noise=NoiseModel(P, scheme))
+    strings = [ps for element in ansatz.elements for ps, _ in element.terms]
+    assert result.n_evaluations > 1
+    assert needs == [grid_charge(problem.n_qubits, strings, PAULI_PEAK_BYTES,
+                                 CODE_CACHE_BYTES)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_noisy_optimizer_leaves_no_reference_cycles(h2, scheme):
+    """The compiled circuit and its scratch are freed with the optimizer's
+    objects, not at the cyclic collector's next run."""
+    ansatz = build_uccsd(h2.n_qubits, h2.n_electrons)
+    args = (ansatz, np.zeros(ansatz.n_params), h2.hamiltonian,
+            hartree_fock_index(h2.n_electrons), NoiseModel(P, scheme))
+    optimize_parameters(*args)  # fills the per-string caches
+    gc.collect()
+    gc.disable()
+    try:
+        optimize_parameters(*args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def grown_circuit(problem, pool, n_accepted):
     """The ``n_accepted`` largest-gradient pool elements at the reference,
     at fixed nonzero angles: a circuit to screen the pool after."""
@@ -125,6 +193,43 @@ def test_grid_screening_matches_dense(request, molecule, n_accepted,
     assert len(grid_screened) == min(subpool, len(pool))
     for (_, fast), (_, slow) in zip(grid_screened, dense_screened):
         assert abs(fast - slow) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_screening_compiles_one_circuit_per_candidate(h2, scheme,
+                                                      monkeypatch):
+    """Grid screening compiles one circuit per screened candidate, each
+    once the last one is freed (one grid's charge at a time), and gives
+    the choice and the bits of screening on a fresh ``noisy_energy`` per
+    energy."""
+    pool = build_pool("qubit_pauli", h2.n_qubits, h2.n_electrons)
+    ansatz, params = grown_circuit(h2, pool, 2)
+    config = AdaptConfig(pool_kind="qubit_pauli", rule="energy",
+                         noise=NoiseModel(P, scheme))
+    reference = hartree_fock_index(h2.n_electrons)
+    state = run_circuit(reference, ansatz, params)
+    gradients = pool_gradients(state, h2.hamiltonian, pool)
+    builds, alive = [], weakref.WeakSet()  # circuits alive at each build
+
+    class Counted(NoisyCircuit):
+        def __init__(self, *args):
+            builds.append(len(alive))
+            super().__init__(*args)
+            alive.add(self)
+
+    def fresh(element, theta):
+        return noisy_energy(reference, ansatz.append(element),
+                            np.append(params, theta), h2.hamiltonian, P,
+                            scheme, h2.n_qubits)
+
+    subpool = 4
+    want = _screen(fresh, pool, gradients, subpool, config.optimizer,
+                   config.eps_opt)
+    monkeypatch.setattr(adapt_module, "NoisyCircuit", Counted)
+    got = _screen(_grown_energy(h2, reference, ansatz, params, config), pool,
+                  gradients, subpool, config.optimizer, config.eps_opt)
+    assert got == want
+    assert builds == [0] * len(got[1]) and len(got[1]) == subpool
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -28,12 +28,13 @@ from vqenoise.operators import PauliString, QubitOperator, expectation
 from vqenoise.pauli_transfer import (
     CODE_CACHE_BYTES,
     PAULI_PEAK_BYTES,
-    _apply_channels,
     _apply_term,
+    _channel_factors,
     _check_coefficients,
-    _energy,
-    _evolve,
+    _compile_term,
     _Grid,
+    _Walk,
+    NoisyCircuit,
     circuit_steps,
     noisy_energy,
     slot_shifts,
@@ -79,6 +80,36 @@ def term_scratch(on=FULL):
     return (*scratch(on), np.arange(DIM * len(on.table)).reshape(DIM, -1))
 
 
+def apply_term(r, partner, index, positions, on, ps, phi, lam, staircase):
+    """One term map on ``on``, compiled for this call alone."""
+    powers = {ps.weight: (lam ** np.arange(2 * ps.weight - 1))[:, None]}
+    _apply_term(r, partner, index, positions,
+                _compile_term(on, ps, staircase, powers), phi)
+
+
+def apply_channels(r, partner, index, on, schedule, lam):
+    """``count`` channels on each scheduled (qubit, count), as a walk
+    applies them: ``_channel_factors`` gathered at the support keys."""
+    np.bitwise_or(on.register[:, None], on.table, out=index)
+    factors = _channel_factors(on, [(q, c, None) for q, c in schedule], lam)
+    r *= np.take(factors, index, out=partner, mode="clip")
+
+
+def evolve(on, reference, steps, lam, staircase):
+    """r on ``on`` after the determinant walks ``steps`` at their angles."""
+    return _Walk(on, reference, steps, lam, staircase)(
+        [phi for terms, _, _ in steps for _, phi in terms])[0]
+
+
+def energy_oracle(r, on, h):
+    """sum_P h_P r_P, read term by term, with r_P = 0 for each P whose x
+    mask lies outside the span: the read-out as first written."""
+    seen = np.fromiter(
+        (r[ps.z_mask, on.coordinate[ps.x_mask]] if ps.x_mask in on.coordinate
+         else 0.0 for ps in h.terms), float, len(h.terms))
+    return complex(np.fromiter(h.terms.values(), complex) @ seen).real
+
+
 def empty_caches(monkeypatch):
     """Install empty caches of grids, string codes and slots."""
     monkeypatch.setattr(pauli_transfer, "_grids", pauli_transfer._CappedCache(
@@ -118,7 +149,7 @@ def channels_oracle(rho, schedule, p):
 def test_exact_rotation_matches_dense(ps):
     rho = random_density(N, seed=ps.x_mask + DIM * ps.z_mask)
     r = grid(rho)
-    _apply_term(r, *term_scratch(), FULL, ps, 0.37, 0.5, False)
+    apply_term(r, *term_scratch(), FULL, ps, 0.37, 0.5, False)
     np.testing.assert_allclose(r, grid(rotation_oracle(rho, ps, 0.37)),
                                rtol=0, atol=1e-12)
 
@@ -131,8 +162,8 @@ def test_staircase_term_with_channels_matches_dense(ps, p):
     the term is diag(f_post) R_P diag(f_pre) on Pauli coefficients."""
     rho = random_density(N, seed=ps.x_mask + DIM * ps.z_mask)
     r = grid(rho)
-    _apply_term(r, *term_scratch(), FULL, ps, -0.61, 1.0 - 4.0 * p / 3.0,
-                True)
+    apply_term(r, *term_scratch(), FULL, ps, -0.61, 1.0 - 4.0 * p / 3.0,
+               True)
     np.testing.assert_allclose(r, grid(staircase_oracle(rho, ps, -0.61, p)),
                                rtol=0, atol=1e-12)
 
@@ -142,7 +173,7 @@ def test_staircase_term_with_channels_matches_dense(ps, p):
 def test_element_channels_match_dense(schedule, p):
     rho = random_density(N, seed=7)
     r = grid(rho)
-    _apply_channels(r, *scratch(), FULL, schedule, 1.0 - 4.0 * p / 3.0)
+    apply_channels(r, *scratch(), FULL, schedule, 1.0 - 4.0 * p / 3.0)
     np.testing.assert_allclose(r, grid(channels_oracle(rho, schedule, p)),
                                rtol=0, atol=1e-12)
 
@@ -162,7 +193,7 @@ def test_term_map_bit_identical_to_oracle(on, staircase, p):
             continue
         r = rng.standard_normal((DIM, len(on.table)))
         want = apply_term_oracle(r, on, ps, -0.61, lam, staircase)
-        _apply_term(r, *term_scratch(on), on, ps, -0.61, lam, staircase)
+        apply_term(r, *term_scratch(on), on, ps, -0.61, lam, staircase)
         assert np.array_equal(r, want), ps.label
 
 
@@ -178,10 +209,10 @@ def test_stacked_term_map_equals_single_calls(on, staircase):
         stack = rng.standard_normal((2, DIM, len(on.table)))
         singles = stack.copy()
         for v in singles:
-            _apply_term(v, *term_scratch(on), on, ps, 0.37, 0.6, staircase)
+            apply_term(v, *term_scratch(on), on, ps, 0.37, 0.6, staircase)
         _, index, positions = term_scratch(on)
-        _apply_term(stack, np.empty_like(stack), index, positions, on, ps,
-                    0.37, 0.6, staircase)
+        apply_term(stack, np.empty_like(stack), index, positions, on, ps,
+                   0.37, 0.6, staircase)
         assert np.array_equal(stack, singles), ps.label
 
 
@@ -210,8 +241,8 @@ def test_sub_span_term_matches_dense(ps, p):
     for staircase, want in ((False, rotation_oracle(rho, ps, -0.61)),
                             (True, staircase_oracle(rho, ps, -0.61, p))):
         r = grid(rho, SUB)
-        _apply_term(r, *term_scratch(SUB), SUB, ps, -0.61,
-                    1.0 - 4.0 * p / 3.0, staircase)
+        apply_term(r, *term_scratch(SUB), SUB, ps, -0.61,
+                   1.0 - 4.0 * p / 3.0, staircase)
         np.testing.assert_allclose(r, grid(want, SUB), rtol=0, atol=1e-12)
 
 
@@ -220,7 +251,7 @@ def test_sub_span_channels_match_dense(p):
     rho = random_density(N, seed=11)
     schedule = ((0, 2), (2, 3))
     r = grid(rho, SUB)
-    _apply_channels(r, *scratch(SUB), SUB, schedule, 1.0 - 4.0 * p / 3.0)
+    apply_channels(r, *scratch(SUB), SUB, schedule, 1.0 - 4.0 * p / 3.0)
     np.testing.assert_allclose(r, grid(channels_oracle(rho, schedule, p), SUB),
                                rtol=0, atol=1e-12)
 
@@ -279,15 +310,15 @@ def test_span_run_is_bit_identical_to_full_register(circuits, name, scheme,
     full = _Grid(n, range(1 << n))
     steps = circuit_steps(ansatz, params, scheme)
     r_span, r_full = (
-        _evolve(on, reference, steps, 1.0 - 4.0 * p / 3.0,
-                scheme == "gate_by_gate")[0]
+        evolve(on, reference, steps, 1.0 - 4.0 * p / 3.0,
+               scheme == "gate_by_gate")
         for on in (span, full))
     assert len(span.table) < len(full.table)
     assert r_span.tobytes() == r_full[:, span.table].tobytes()
     outside = np.setdiff1d(full.table, span.table)
     assert not r_full[:, outside].any()
-    energy = _energy(r_span, span, h)
-    assert energy == _energy(r_full, full, h)
+    energy = energy_oracle(r_span, span, h)
+    assert energy == energy_oracle(r_full, full, h)
     assert noisy_energy(reference, ansatz, params, h, p, scheme) == energy
 
 
@@ -353,9 +384,9 @@ def test_grids_are_kept_between_runs(circuits, scheme, monkeypatch):
     fresh = _Grid(n, masks)
     assert fresh.table.tobytes() == grid.table.tobytes()
     steps = circuit_steps(ansatz, params, scheme)
-    r = _evolve(fresh, reference, steps, 1.0 - 4.0 * 1e-3 / 3.0,
-                scheme == "gate_by_gate")[0]
-    assert _energy(r, fresh, h) == first
+    r = evolve(fresh, reference, steps, 1.0 - 4.0 * 1e-3 / 3.0,
+               scheme == "gate_by_gate")
+    assert energy_oracle(r, fresh, h) == first
 
     def untouched(*args):
         raise AssertionError("a kept grid was built or packed again")
@@ -600,6 +631,60 @@ def test_backward_pass_maps_each_term_once(circuits, scheme, monkeypatch):
                 problem.hamiltonian, problem.n_qubits)
     k = sum(len(terms) for terms, _, _ in steps)
     assert shapes == [()] * k + [(2,)] * k
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("pool_kind", ["fermionic", "qeb", "qubit_pauli"])
+@pytest.mark.parametrize("molecule", ["h2", "h4"])
+def test_compiled_circuit_keeps_no_state_between_calls(request, molecule,
+                                                       pool_kind, scheme, p):
+    """A compiled circuit evaluated at x1, x2 and x1 again gives the bits
+    of a fresh ``noisy_energy`` at each point: nothing leaks from one call
+    to the next through the scratch it holds."""
+    problem = request.getfixturevalue(molecule)
+    pool = build_pool(pool_kind, problem.n_qubits, problem.n_electrons)
+    ansatz = Ansatz.from_elements(pool.elements[::len(pool) // 3][:3])
+    reference = hartree_fock_index(problem.n_electrons)
+    h = problem.hamiltonian
+    circuit = NoisyCircuit(reference, ansatz, h, p, scheme)
+    x1, x2 = np.random.default_rng(7).uniform(-0.4, 0.4, (2, ansatz.n_params))
+    for x in (x1, x2, x1):
+        want = noisy_energy(reference, ansatz, x, h, p, scheme)
+        assert circuit(x).hex() == want.hex()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_cold_compiled_circuit_peaks_within_its_charge(circuits, scheme,
+                                                       monkeypatch):
+    """A circuit compiled with every cache empty and evaluated three times
+    asks ``check_memory`` once, for the charge of a one-shot run, and
+    peaks within it."""
+    problem, ansatz, params = circuits["h4_qeb_frozen"]
+    reference = hartree_fock_index(problem.n_electrons)
+    h, n = problem.hamiltonian, problem.n_qubits
+    strings = [ps for element in ansatz.elements for ps, _ in element.terms]
+    check_memory, needs = pauli_transfer.check_memory, []
+
+    def recorded(n_qubits, need):
+        needs.append(need)
+        return check_memory(n_qubits, need)
+
+    monkeypatch.setattr(pauli_transfer, "check_memory", recorded)
+    empty_caches(monkeypatch)
+    shifted = params + np.random.default_rng(9).uniform(-0.05, 0.05,
+                                                        params.size)
+    tracemalloc.start()
+    try:
+        circuit = NoisyCircuit(reference, ansatz, h, 1e-3, scheme)
+        for x in (params, shifted, params):
+            circuit(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert needs == [grid_charge(n, strings, PAULI_PEAK_BYTES,
+                                 CODE_CACHE_BYTES)]
+    assert peak <= needs[0]
 
 
 def test_noiseless_and_empty_circuits(circuits, h2):

@@ -115,7 +115,8 @@ class AnsatzElement:
                 g = g + (1j * b) * phases[targets]
             modulus = np.abs(g)
             unit = np.divide(g, modulus, out=np.zeros_like(g), where=modulus > 0)
-            modulus.flags.writeable = unit.flags.writeable = False
+            for array in (targets, modulus, unit):  # shared, so read-only
+                array.flags.writeable = False
             runs.append((targets, modulus, unit))
         if self.n_qubits <= MATRIX_CACHE_QUBITS:
             object.__setattr__(self, "_runs", tuple(runs))
@@ -302,8 +303,9 @@ POOL_BUILDERS = {
 
 
 # Pools kept by ``build_pool``: only the last, so a process holds no more
-# than its last run used (a compiled 10-qubit qubit_pauli pool is about
-# 90 MB), and repeated builds of one pool in a row share it.
+# than its last run used (a 10-qubit qubit_pauli pool with every run
+# compiled holds about 58 MiB, fermionic and qeb 1.8 MiB), and repeated
+# builds of one pool in a row share it.
 POOL_CACHE_SIZE = 1
 
 
@@ -312,7 +314,7 @@ def build_pool(kind: str, n_spin_orbitals: int, n_electrons: int) -> Pool:
     """The ``kind`` pool. The last one built is kept and returned again
     for the same arguments, so an ADAPT run and a UCCSD build on one
     register, or ADAPT runs at several noise levels, share one pool with
-    its compiled runs and Pauli actions: pools, elements and strings are
+    its elements' compiled runs: pools, elements and strings are
     immutable. An unknown kind raises ``ConfigError`` and is not kept."""
     try:
         builder = POOL_BUILDERS[kind]

@@ -26,13 +26,14 @@ from .exceptions import DimensionError, NumericIntegrityError, ResourceLimitErro
 COEFF_TOL = 1e-12
 # Largest imaginary residue tolerated when a real expectation is extracted.
 IMAG_TOL = 1e-10
-# Peak bytes per 4^n entry of ``exact_spectrum``: real branch 48 (matrix 16,
+# Peak bytes per 4^n entry of ``exact_spectrum``: real branch 40 (image 8,
 # eigh's copy 8, eigenvectors 8, dsyevd workspace 16), complex 80 (zheevd).
-# Peak RSS above baseline at n = 10, 11, 12: 52.3, 49.9, 48.8 and 85.0, 82.1,
-# 80.8; 7% and 13% margin. A real 14-qubit operator is charged 14 GiB.
-SPECTRUM_REAL_BYTES = 56
+# Peak RSS above baseline at n = 10, 11, 12: 43.9, 41.6, 40.7 and 85.0, 82.1,
+# 80.8; 9% and 13% margin. A real 14-qubit operator is charged 12 GiB.
+SPECTRUM_REAL_BYTES = 48
 SPECTRUM_COMPLEX_BYTES = 96
-# Dense operator matrices are cached on the operator up to this register size.
+# Register size up to which an operator keeps its dense matrix, which
+# ``apply_operator`` and density ``expectation`` use, and an element its runs.
 MATRIX_CACHE_QUBITS = 10
 
 _AXIS_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -43,15 +44,16 @@ _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 class PauliString:
     """Tensor product of single-qubit Pauli factors on a fixed register.
 
+    An immutable value of three integers, ``(n_qubits, x_mask, z_mask)``,
+    compared, hashed and pickled by them; it keeps no compiled state.
+
     Args:
         paulis: mapping from qubit index to one of ``"X"``, ``"Y"``, ``"Z"``.
             Qubits absent from the map carry the identity.
         n_qubits: register size; every index must be smaller than this.
     """
 
-    # ``_action`` holds the (targets, phases) pair that ``pauli_action``
-    # stores on first use; it is never pickled.
-    __slots__ = ("n_qubits", "x_mask", "z_mask", "_action")
+    __slots__ = ("n_qubits", "x_mask", "z_mask")
 
     def __init__(self, paulis: Mapping[int, str] | None, n_qubits: int):
         if n_qubits <= 0:
@@ -71,7 +73,6 @@ class PauliString:
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "x_mask", x)
         object.__setattr__(self, "z_mask", z)
-        object.__setattr__(self, "_action", None)
 
     @classmethod
     def from_masks(cls, x_mask: int, z_mask: int, n_qubits: int) -> "PauliString":
@@ -85,7 +86,6 @@ class PauliString:
         object.__setattr__(ps, "n_qubits", n_qubits)
         object.__setattr__(ps, "x_mask", x_mask)
         object.__setattr__(ps, "z_mask", z_mask)
-        object.__setattr__(ps, "_action", None)
         return ps
 
     @classmethod
@@ -102,7 +102,6 @@ class PauliString:
         # slots plus the immutability guard block pickle's default setattr
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_action", None)
 
     @property
     def paulis(self) -> dict[int, str]:
@@ -164,22 +163,10 @@ def pauli_action(ps: PauliString) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(targets, phases)`` such that ``P |k> = phases[k] |targets[k]>``
     for every basis index k. ``targets`` is the involution ``k ^ x_mask``.
-    On registers of at most ``MATRIX_CACHE_QUBITS`` qubits the pair is
-    built once, stored on the string and returned read-only after that.
+    Every call builds a new pair and keeps nothing: callers that reuse an
+    action keep what they compile from it (element runs, operator matrices).
     """
-    if ps._action is not None:
-        return ps._action
-    action = _build_action(ps)
-    if ps.n_qubits <= MATRIX_CACHE_QUBITS:
-        for arr in action:
-            arr.flags.writeable = False
-        object.__setattr__(ps, "_action", action)
-    return action
-
-
-def _build_action(ps: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    dim = 1 << ps.n_qubits
-    k = np.arange(dim, dtype=np.uint64)
+    k = np.arange(1 << ps.n_qubits, dtype=np.uint64)
     parity = np.bitwise_count(k & np.uint64(ps.z_mask)) & np.uint64(1)
     phases = np.where(parity == 1, -1.0 + 0.0j, 1.0 + 0.0j)
     phases *= _I_POWERS[ps.y_count % 4]
@@ -350,16 +337,23 @@ class QubitOperator:
         """Dense matrix representation; cached on small registers."""
         if self._matrix is not None:
             return self._matrix
-        dim = 1 << self.n_qubits
-        m = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
-        # each term is used once here, so its action is not stored
-        for ps, coeff in self._terms.items():
-            targets, phases = _build_action(ps)
-            m[targets, cols] += coeff * phases
+        m = _dense_image(self, complex)
         if self.n_qubits <= MATRIX_CACHE_QUBITS:
             object.__setattr__(self, "_matrix", m)
         return m
+
+
+def _dense_image(h: QubitOperator, dtype) -> np.ndarray:
+    """H's dense 2^n x 2^n image as ``dtype``: float keeps each term's real
+    part, exact when every weight is real and every Y count even."""
+    dim = 1 << h.n_qubits
+    m = np.zeros((dim, dim), dtype=dtype)
+    cols = np.arange(dim)
+    for ps, coeff in h.terms.items():
+        targets, phases = pauli_action(ps)
+        term = coeff * phases
+        m[targets, cols] += term if dtype is complex else term.real
+    return m
 
 
 def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
@@ -585,11 +579,11 @@ def check_memory(n_qubits: int, need: int):
 def exact_spectrum(h: QubitOperator) -> SpectrumResult:
     """Extremal eigenvalues and the ground state by dense diagonalization.
 
-    Uses the real-symmetric eigensolver when the dense image is real, as
-    it is when every weight is real and every string has an even number of
-    Y factors (molecular Hamiltonians); that case is charged to
-    ``check_memory`` at SPECTRUM_REAL_BYTES per 4^n entry before the image
-    is built, any other at SPECTRUM_COMPLEX_BYTES.
+    When every weight is real and every string has an even number of Y
+    factors (molecular Hamiltonians), the image is real: it is built as
+    float64 and solved by the real-symmetric eigensolver, charged to
+    ``check_memory`` at SPECTRUM_REAL_BYTES per 4^n entry before it is
+    built. Any other operator is solved complex, at SPECTRUM_COMPLEX_BYTES.
     """
     if not h.is_hermitian:
         raise NumericIntegrityError("exact_spectrum requires a Hermitian operator")
@@ -597,12 +591,11 @@ def exact_spectrum(h: QubitOperator) -> SpectrumResult:
                for ps, c in h.terms.items())
     per_entry = SPECTRUM_REAL_BYTES if real else SPECTRUM_COMPLEX_BYTES
     check_memory(h.n_qubits, per_entry * 4 ** h.n_qubits)
-    m = h.matrix()
-    if np.abs(m.imag).max(initial=0.0) < 1e-14:
-        evals, evecs = np.linalg.eigh(m.real)
+    if real:
+        evals, evecs = np.linalg.eigh(_dense_image(h, float))
         ground = evecs[:, 0].astype(complex)
     else:
-        evals, evecs = np.linalg.eigh(m)
+        evals, evecs = np.linalg.eigh(h.matrix())
         ground = evecs[:, 0]
     return SpectrumResult(
         ground_energy=float(evals[0]),

@@ -89,8 +89,8 @@ def term_slots(ps: PauliString):
 
 @functools.lru_cache(maxsize=1024)
 def _term_slots(x_mask: int, z_mask: int, n_qubits: int):
-    """``term_slots``, kept per string for the next call (the Rz angle
-    plays no part); keyed on masks, so no string's stored action is held."""
+    """``term_slots``, kept per string's masks for the next call (the Rz
+    angle plays no part)."""
     gates = compile_term(PauliString.from_masks(x_mask, z_mask, n_qubits),
                          1.0, 0.0)
     middle = len(gates) // 2  # compile_term puts the Rz in the middle
@@ -338,7 +338,7 @@ def circuit_steps(ansatz: Ansatz, params: np.ndarray, scheme: str):
 # its heaviest term's 4^w support codes; the run's flat positions and what
 # it may add to the kept arrays are charged on top. Traced peaks per grid
 # entry on the frozen H4 qeb circuit (gate_by_gate, element_by_element):
-# 36.0 and 57.1 for noisy_energy, 68.0 and 57.6 when every cache starts
+# 36.0 and 45.9 for noisy_energy, 68.1 and 56.1 when every cache starts
 # empty; 59.5 and 53.2 for chi's slot_shifts, 67.9 and 63.3 cold; every
 # run is charged 83.0. Per code: 18.0 to 28.4 (weights 11 to 6).
 PAULI_PEAK_BYTES = 64
@@ -373,7 +373,7 @@ class _Walk:
     maps, a zeroed stack of leading shape ``stack`` (r its first grid),
     its partner, the index scratch and the flat positions arange(2^(n+d))
     as (2^n, 2^d). A staircase's channels sit in its term factors; else
-    each step's after-slots scale r, gathered at the keys register | table."""
+    each step's after-slots scale r, gathered at index = register | table."""
 
     def __init__(self, grid, initial, steps, lam, staircase, stack=()):
         shape = (*stack, len(grid.register), len(grid.table))
@@ -384,7 +384,7 @@ class _Walk:
         self.positions = np.arange(self.index.size).reshape(self.index.shape)
         self.start = 1.0 - 2.0 * (np.bitwise_count(grid.register & initial) & 1)
         channels = not staircase and lam != 1.0
-        self.keys = grid.register[:, None] | grid.table if channels else None
+        self.register, self.table = grid.register[:, None], grid.table
         weights = {ps.weight for terms, _, _ in steps for ps, _ in terms
                    if staircase}
         powers = {w: (lam ** np.arange(2 * w - 1))[:, None] for w in weights}
@@ -404,7 +404,11 @@ class _Walk:
                 _apply_term(r, partner, self.index, self.positions, term,
                             next(phis))
             if factors is not None:
-                r *= np.take(factors, self.keys, out=partner, mode="clip")
+                # a copy broadcasts the table unbuffered; a ufunc would
+                # buffer each broadcast operand (up to 64 KiB each)
+                self.index[...] = self.table
+                self.index |= self.register
+                r *= np.take(factors, self.index, out=partner, mode="clip")
         return self.stack, self.partner
 
 

@@ -81,10 +81,10 @@ class TestPauliString:
         # pickled like a dict-built string
         q = PauliString.from_masks(0b00101, 0b01100, 5)
         assert q == p and hash(q) == hash(p) and q.paulis == p.paulis
-        assert (q.n_qubits, q.x_mask, q.z_mask, q._action) == (5, 5, 12, None)
+        assert (q.n_qubits, q.x_mask, q.z_mask) == (5, 5, 12)
         assert pickle.dumps(q) == pickle.dumps(p)
         loaded = pickle.loads(pickle.dumps(q))
-        assert loaded == p and loaded._action is None
+        assert loaded == p
         with pytest.raises(AttributeError):
             q.x_mask = 0
 
@@ -123,45 +123,24 @@ class TestPauliString:
 
 
 class TestPauliActionCache:
-    def test_stored_read_only_and_equal_to_fresh_build(self):
-        p = ps({0: "Y", 2: "X", 3: "Z"}, 8)
-        targets, phases = pauli_action(p)
-        again = pauli_action(p)
-        assert again[0] is targets and again[1] is phases
-        assert not targets.flags.writeable and not phases.flags.writeable
-        with pytest.raises(ValueError):
-            phases[0] = 0.0
-        fresh = pauli_action(ps({0: "Y", 2: "X", 3: "Z"}, 8))
-        assert fresh[0] is not targets
-        assert np.array_equal(fresh[0], targets)
-        assert np.array_equal(fresh[1], phases)
+    """``pauli_action`` keeps nothing: a string is its three integers."""
+
+    def test_slots_are_the_value(self):
+        assert PauliString.__slots__ == ("n_qubits", "x_mask", "z_mask")
+
+    @pytest.mark.parametrize("n", [8, 11])
+    def test_each_call_builds_equal_distinct_arrays(self, n):
+        p = ps({0: "Y", 2: "X", n - 1: "Z"}, n)
+        first, second = pauli_action(p), pauli_action(p)
+        for a, b in zip(first, second):
+            assert a is not b and np.array_equal(a, b)
 
     def test_pickle_carries_no_arrays(self):
         p = ps({1: "X", 4: "Y"}, 6)
         blank = pickle.dumps(p)
-        action = pauli_action(p)
-        data = pickle.dumps(p)
-        assert data == blank
-        loaded = pickle.loads(data)
-        assert loaded == p and loaded._action is None
-        targets, phases = pauli_action(loaded)
-        assert targets is not action[0]
-        assert np.array_equal(targets, action[0])
-        assert np.array_equal(phases, action[1])
-
-    def test_large_register_not_stored(self):
-        p = ps({0: "X", 10: "Y"}, 11)
-        first = pauli_action(p)
-        second = pauli_action(p)
-        assert p._action is None
-        assert first[0] is not second[0]
-        assert first[1].flags.writeable
-        assert np.array_equal(first[1], second[1])
-
-    def test_operator_matrix_stores_no_action(self):
-        op = QubitOperator(3, {ps({0: "X"}, 3): 0.5, ps({1: "Z", 2: "Y"}, 3): 2.0})
-        op.matrix()
-        assert all(term._action is None for term in op.terms)
+        pauli_action(p)
+        assert pickle.dumps(p) == blank
+        assert pickle.loads(blank) == p
 
 
 def pauli_multiply(a, b):
@@ -514,9 +493,23 @@ class TestExactSpectrum:
         with pytest.raises(NumericIntegrityError):
             exact_spectrum(op)
 
+    def test_real_branch_builds_only_the_real_image(self):
+        """A molecular Hamiltonian is solved on a float64 image equal to
+        its complex matrix's real half, bit for bit, and its complex
+        matrix is not built."""
+        h4 = load_bundled("h4_1.0").hamiltonian
+        h = QubitOperator(h4.n_qubits, dict(h4.terms))
+        result = exact_spectrum(h)
+        assert h._matrix is None
+        evals, evecs = np.linalg.eigh(h.matrix().real)
+        assert (result.ground_energy, result.max_energy) == (evals[0],
+                                                             evals[-1])
+        assert result.ground_state.tobytes() == \
+            evecs[:, 0].astype(complex).tobytes()
+
     def test_dense_limit_enforced(self, physical_memory):
         """The dense image is admitted by its charge alone: 16 qubits are
-        refused on 64 GiB, and one qubit runs on its 4 * 56 B."""
+        refused on 64 GiB, and one qubit runs on its 4 * 48 B."""
         op = QubitOperator.from_term(ps({0: "Z"}, 1))
         big = QubitOperator.from_term(ps({15: "Z"}, 16))
         physical_memory(64 * 2**30)

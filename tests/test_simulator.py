@@ -1,6 +1,7 @@
 """Tests for the dual-backend register, gates, noise, and compilation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,6 +533,19 @@ class TestCompiledRuns:
             assert not any(array.flags.writeable for array in run)
             with pytest.raises(ValueError):
                 run[2][0] = 0.0
+
+    def test_compiled_pool_holds_only_its_runs(self):
+        """Every run of the 8-qubit fermionic pool compiled holds under
+        0.5 MiB (about 0.3): no string keeps its own action beside them."""
+        pool = build_fermionic_pool(8, 4)
+        tracemalloc.start()
+        try:
+            for element in pool.elements:
+                element.runs()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**19
 
     def test_pickle_carries_no_runs(self):
         import pickle

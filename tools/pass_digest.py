@@ -9,8 +9,9 @@ prints one line ``workload seed sha256`` per pass, for seeds 0 .. N-1
 
     python3 tools/pass_digest.py --operators
 
-prints one line ``operators sha256`` over the built operators instead
-(``operator_digest``), to diff operator-algebra changes the same way.
+prints one line ``operators sha256`` over the built operators and each
+bundled molecule's exact spectrum instead (``operator_digest``), to diff
+operator-algebra and spectrum changes the same way.
 
 It reads the checkout it sits in, imports ``bench/workloads.py`` and
 ``bench/run.py`` as they are, and pins BLAS to one thread as the
@@ -45,7 +46,9 @@ def digests(names, seeds: int, size: str):
 def operator_digest() -> str:
     """sha256 over every bundled Hamiltonian, then every pool, UCCSD and
     k-UpCCGSD (k = 2) generator at H2 (4, 2) and H4 (8, 4): each operator's
-    terms in order, as masks and the bits of their coefficients."""
+    terms in order, as masks and the bits of their coefficients; each
+    bundled Hamiltonian is followed by its exact spectrum: the bits of the
+    ground and max energies and the ground state's bytes."""
     import vqenoise as vq
 
     digest = hashlib.sha256()
@@ -57,7 +60,12 @@ def operator_digest() -> str:
                           f"{c.imag.hex()}\n".encode())
 
     for name in vq.BUNDLED_MOLECULES:
-        add(name, vq.load_bundled(name).hamiltonian)
+        h = vq.load_bundled(name).hamiltonian
+        add(name, h)
+        spectrum = vq.exact_spectrum(h)
+        digest.update(f"{spectrum.ground_energy.hex()} "
+                      f"{spectrum.max_energy.hex()}\n".encode())
+        digest.update(spectrum.ground_state.tobytes())
     for n, n_e in ((4, 2), (8, 4)):
         ansatze = {kind: vq.build_pool(kind, n, n_e).elements
                    for kind in ("fermionic", "qeb", "qubit_pauli")}
@@ -81,12 +89,12 @@ def main(argv=None) -> int:
     parser.add_argument("--operators", action="store_true",
                         help="print the digest of the built operators only")
     args = parser.parse_args(argv)
-    if args.operators:
-        print("operators", operator_digest())
-        return 0
     if args.seeds < 1:
         parser.error("--seeds must be positive")
     os.environ.update({var: "1" for var in run.BLAS_THREAD_VARS})
+    if args.operators:
+        print("operators", operator_digest())
+        return 0
     for name, seed, digest in digests(args.workload or run.WORKLOAD_NAMES,
                                       args.seeds, args.size):
         print(name, seed, digest, flush=True)
